@@ -11,7 +11,6 @@ from .bounds import (
     bound_names,
     certify_delta_inequalities,
     eval_bound,
-    geometric_sums,
     optimize,
     root_cubic,
 )

@@ -44,16 +44,6 @@ def sum_weighted_geometric(x):
     return (1 - x) ** -2
 
 
-@dataclass(frozen=True)
-class GeometricSums:
-    sum_i_x: object  # float, or Fraction when called with a Fraction
-
-
-def geometric_sums(x) -> GeometricSums:
-    """Closed form of the weighted geometric series used in the bounds."""
-    return GeometricSums(sum_i_x=sum_weighted_geometric(x))
-
-
 # ---------------------------------------------------------------------------
 # bound formulas
 # ---------------------------------------------------------------------------
@@ -73,6 +63,11 @@ def _thue_choice(d: int) -> float:
 
 
 def _thue_choice_refined(d: int) -> int:
+    # the value is d^2 + (d-1)(t + 3t^2/4) with t = (4d)^(1/3); it is an
+    # integer exactly when d = 2m^3, where float noise would push ceil up
+    m = round((d / 2) ** (1.0 / 3.0))
+    if 2 * m**3 == d:
+        return d * d + (d - 1) * (2 * m + 3 * m * m)
     inner = 1.0 + (3.0 / CBRT4) * d ** (-1.0 / 3.0) + CBRT4 * d ** (-2.0 / 3.0) + 1.0 / d
     return ceil_snapped(d * (d - 1) * inner + 1.0)
 
@@ -188,7 +183,6 @@ SERIES_PRESETS: dict[str, SeriesBound] = {
     "path": SeriesBound(geometric=1.0),
     "weak-total": SeriesBound(weighted=1.0),
 }
-SERIES_PRESETS["weak_total"] = SERIES_PRESETS["weak-total"]
 
 
 @dataclass(frozen=True)

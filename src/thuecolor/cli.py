@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import bounds as bounds_mod
 from . import corpus as corpus_mod
@@ -38,9 +36,6 @@ from .growth import check_growth, claim_family
 from .repetition import Regime, find_square, find_violating_path, is_valid
 from .resample import resample_color
 
-JOBS_ENV = "THUECOLOR_JOBS"
-
-
 class UsageError(Exception):
     pass
 
@@ -59,6 +54,8 @@ def _load_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise UsageError(f"no such file: {path}") from None
+    except OSError as err:
+        raise UsageError(f"cannot read {path}: {err.strerror}") from None
     except json.JSONDecodeError as err:
         raise UsageError(
             f"parse error in {path} at line {err.lineno} column {err.colno}: {err.msg}"
@@ -325,24 +322,11 @@ def _cmd_color(args) -> dict:
 
 
 def _cmd_corpus(args) -> dict:
-    jobs = args.jobs if args.jobs else int(os.environ.get(JOBS_ENV, "1") or "1")
-    if jobs < 1:
-        raise UsageError("--jobs must be positive")
     members = corpus_mod.builtin_corpus(args.seed)
-
-    def run(member):
-        name, g = member
-        return corpus_mod.path_dominance_records(name, g, max_half=args.max_half)
-
-    if jobs == 1:
-        all_records = [run(m) for m in members]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            all_records = list(pool.map(run, members))
     checks = 0
     violations = []
-    for records in all_records:
-        for rec in records:
+    for name, g in members:
+        for rec in corpus_mod.path_dominance_records(name, g, max_half=args.max_half):
             checks += 1
             if not rec.holds:
                 violations.append(
@@ -446,7 +430,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="path-count dominance sweep over the corpus")
     p.add_argument("--seed", type=int, default=corpus_mod.CORPUS_SEED)
     p.add_argument("--max-half", type=int, default=4, dest="max_half")
-    p.add_argument("--jobs", type=int, default=0)
     p.set_defaults(func=_cmd_corpus)
 
     return parser
@@ -482,3 +465,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -19,6 +19,7 @@ from .graphs import (
     count_paths_bound,
     count_paths_containing,
     cycle_graph,
+    from_standard,
     path_graph,
     petersen_graph,
 )
@@ -45,12 +46,6 @@ def random_bounded_graph(
             edges.append((u, w))
             degree[u] += 1
             degree[w] += 1
-    return from_sorted_edges(n, edges)
-
-
-def from_sorted_edges(n: int, edges: list[tuple[int, int]]) -> GeneralizedGraph:
-    from .graphs import from_standard
-
     return from_standard(n, sorted(edges))
 
 

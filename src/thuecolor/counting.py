@@ -26,9 +26,7 @@ from .graphs import (
     delete,
     edge,
     vertex,
-    _canonical,
-    _iter_directed_all,
-    _iter_directed_through,
+    walk,
 )
 from .repetition import (
     Color,
@@ -83,6 +81,8 @@ def lists_from_json(obj, g: GeneralizedGraph) -> ListAssignment:
         raise ValueError("list assignment JSON must be an object or an array")
     lists: dict[ElementId, frozenset[int]] = {}
     for entry in obj:
+        if not isinstance(entry, Mapping):
+            raise ValueError(f"list entry must be an object: {entry!r}")
         elem = element_from_json(entry.get("element"))
         colors = entry.get("colors")
         if not isinstance(colors, list) or any(not isinstance(c, int) for c in colors):
@@ -118,6 +118,8 @@ def coloring_from_json(obj) -> dict[ElementId, Color]:
         raise ValueError("coloring JSON must be an array")
     out: dict[ElementId, Color] = {}
     for entry in obj:
+        if not isinstance(entry, Mapping):
+            raise ValueError(f"coloring entry must be an object: {entry!r}")
         elem = element_from_json(entry.get("element"))
         color = entry.get("color")
         if not isinstance(color, int):
@@ -171,9 +173,7 @@ def _compile(
         domain = g.domain(kind)
         for length in range(2, len(domain) + 1, 2):
             half = length // 2
-            for seq in _iter_directed_all(g, kind, length, allowed=None):
-                if not _canonical(seq):
-                    continue
+            for seq in walk(g, kind, length):
                 idx = [pos[x] for x in seq]
                 last = max(idx)
                 if half == 1:
@@ -348,11 +348,9 @@ def count_violations(
     relevant = frozenset(relevant_elements(g, regime))
     echo_pairs: list[tuple[tuple[ElementId, ElementId], ...]] = []
     for kind in regime.kinds_through(x.kind):
-        usable = g.domain(kind) & relevant
-        for half in range(1, len(usable) // 2 + 1):
-            for seq in _iter_directed_through(g, x, kind, 2 * half, allowed=usable):
-                if _canonical(seq):
-                    echo_pairs.append(tuple(zip(seq[:half], seq[half:])))
+        for half in range(1, len(g.domain(kind) & relevant) // 2 + 1):
+            for seq in walk(g, kind, 2 * half, through=x, allowed=relevant):
+                echo_pairs.append(tuple(zip(seq[:half], seq[half:])))
     bad = 0
     for coloring in enumerate_colorings(g_minus, lists, regime):
         for c in palette:

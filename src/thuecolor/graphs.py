@@ -15,6 +15,11 @@ enumerated over these relations:
 A path of length L has L elements.  Paths are undirected: a sequence
 and its reverse denote the same path, canonicalized to the
 lexicographically smaller element sequence.
+
+Every path enumeration in the package goes through one generator,
+``walk``: all paths of a kind and length, or those through one element
+(``through``), over a subset of elements (``allowed``), and optionally
+only the squares of a coloring (``echo``), pruned as the walk grows.
 """
 from __future__ import annotations
 
@@ -114,13 +119,16 @@ class GeneralizedGraph:
     def _mixed_nbrs(self) -> dict[ElementId, tuple[ElementId, ...]]:
         return _neighbor_map(self.ve_inc)
 
+    def _neighbor_table(self, kind: PathKind) -> dict[ElementId, tuple[ElementId, ...]]:
+        if kind is PathKind.VERTEX:
+            return self._vv_nbrs
+        if kind is PathKind.EDGE:
+            return self._ee_nbrs
+        return self._mixed_nbrs
+
     def neighbors(self, x: ElementId, kind: PathKind) -> tuple[ElementId, ...]:
         """Elements that can follow ``x`` in a path of the given kind."""
-        if kind is PathKind.VERTEX:
-            return self._vv_nbrs.get(x, ())
-        if kind is PathKind.EDGE:
-            return self._ee_nbrs.get(x, ())
-        return self._mixed_nbrs.get(x, ())
+        return self._neighbor_table(kind).get(x, ())
 
     def degree(self, v: ElementId) -> int:
         """Number of edges incident to the vertex ``v``."""
@@ -257,99 +265,87 @@ def path_is_valid(g: GeneralizedGraph, path: Path) -> bool:
     return True
 
 
-def _iter_directed_through(
+def walk(
     g: GeneralizedGraph,
-    x: ElementId,
     kind: PathKind,
     length: int,
-    allowed: frozenset[ElementId] | None,
+    *,
+    through: ElementId | None = None,
+    allowed: Iterable[ElementId] | None = None,
+    echo: Mapping[ElementId, int] | None = None,
 ) -> Iterator[tuple[ElementId, ...]]:
-    """Directed simple paths of exactly ``length`` elements containing ``x``.
+    """Each simple path of ``kind`` with ``length`` elements, once, canonically.
 
-    Each directed path is produced once: the position of ``x`` in it is
-    unique, so iterating over candidate positions cannot repeat a path.
+    A simple path has distinct ends, so it is yielded in the orientation
+    with ``seq[0] <= seq[-1]``.  Without ``through`` the walk starts at
+    every element in sorted order; with ``through=x`` it places x at each
+    position in turn, grows the part after x, then the reversed part
+    before x.  Neighbours are tried in ``g.neighbors`` order.
+    ``allowed`` restricts the elements a path may use.
+
+    ``echo`` maps elements to colors and keeps only squares: the element
+    at position t must repeat the color at t - length/2.  The check runs
+    as soon as both elements of such a pair are placed, so it prunes the
+    walk rather than filtering its output; every allowed element of the
+    path's kind must be colored.
     """
+    if length < 1:
+        raise ValueError("path length must be positive")
+    if echo is not None and length % 2:
+        raise ValueError("a square has an even length")
     domain = g.domain(kind)
     if allowed is not None:
-        domain = domain & allowed
-    if x not in domain:
-        return
-
-    def grow(seq: list[ElementId], used: set[ElementId], slots: int, out_left: bool
-             ) -> Iterator[tuple[ElementId, ...]]:
-        if slots == 0:
-            yield tuple(seq)
-            return
-        anchor = seq[0] if out_left else seq[-1]
-        for w in g.neighbors(anchor, kind):
-            if w in used or w not in domain:
-                continue
-            used.add(w)
-            if out_left:
-                seq.insert(0, w)
-            else:
-                seq.append(w)
-            yield from grow(seq, used, slots - 1, out_left)
-            if out_left:
-                seq.pop(0)
-            else:
-                seq.pop()
-            used.remove(w)
-
-    for j in range(length):
-        # grow the suffix after x first, then the prefix before it
-        for partial in grow([x], {x}, length - 1 - j, out_left=False):
-            base = list(partial)
-            used = set(base)
-            yield from grow(base, used, j, out_left=True)
-
-
-def _iter_directed_all(
-    g: GeneralizedGraph,
-    kind: PathKind,
-    length: int,
-    allowed: frozenset[ElementId] | None,
-) -> Iterator[tuple[ElementId, ...]]:
-    """Every directed simple path of exactly ``length`` elements."""
-    domain = g.domain(kind)
-    if allowed is not None:
-        domain = domain & allowed
-    seq: list[ElementId] = []
+        domain = domain & frozenset(allowed)
+    nbrs = g._neighbor_table(kind)
+    half = length // 2
+    seq: list = [None] * length
     used: set[ElementId] = set()
 
-    def extend(u: ElementId) -> Iterator[tuple[ElementId, ...]]:
-        seq.append(u)
-        used.add(u)
-        if len(seq) == length:
-            yield tuple(seq)
-        else:
-            for w in g.neighbors(u, kind):
-                if w not in used and w in domain:
-                    yield from extend(w)
-        seq.pop()
-        used.remove(u)
+    def fill(plan: list[tuple[int, int, int]], t: int) -> Iterator[tuple[ElementId, ...]]:
+        if t == len(plan):
+            if seq[0] <= seq[-1]:
+                yield tuple(seq)
+            return
+        p, anchor, partner = plan[t]
+        want = None if partner < 0 else echo[seq[partner]]
+        for y in nbrs.get(seq[anchor], ()):
+            if y in used or y not in domain or (want is not None and echo[y] != want):
+                continue
+            seq[p] = y
+            used.add(y)
+            yield from fill(plan, t + 1)
+            used.remove(y)
 
-    for start in sorted(domain):
-        yield from extend(start)
-
-
-def _canonical(seq: tuple[ElementId, ...]) -> bool:
-    return seq <= seq[::-1]
+    if through is None:
+        firsts, positions = sorted(domain), (0,)
+    elif through in domain:
+        firsts, positions = (through,), range(length)
+    else:
+        return
+    for j in positions:
+        # positions after j, then before it, each grown from its placed
+        # neighbour; an echo pair is checked when its later member is placed
+        plan = []
+        placed = {j}
+        for p in [*range(j + 1, length), *range(j - 1, -1, -1)]:
+            partner = p + half if p < half else p - half
+            check = echo is not None and partner in placed
+            plan.append((p, p - 1 if p > j else p + 1, partner if check else -1))
+            placed.add(p)
+        for x in firsts:
+            seq[j] = x
+            used.add(x)
+            yield from fill(plan, 0)
+            used.remove(x)
 
 
 def enumerate_paths_through(
     g: GeneralizedGraph, x: ElementId, kind: PathKind, length: int
 ) -> set[Path]:
     """All simple paths of the given kind with ``length`` elements through ``x``."""
-    if length < 1:
-        raise ValueError("path length must be positive")
     if x not in g:
         raise ValueError(f"element not in graph: {x}")
-    found = set()
-    for seq in _iter_directed_through(g, x, kind, length, allowed=None):
-        if _canonical(seq):
-            found.add(Path(kind, seq))
-    return found
+    return {Path(kind, seq) for seq in walk(g, kind, length, through=x)}
 
 
 def count_paths_containing(
@@ -363,9 +359,8 @@ def count_paths_containing(
     out: dict[int, Counter] = {}
     for length in lengths:
         tally: Counter = Counter()
-        for seq in _iter_directed_all(g, kind, length, allowed=None):
-            if _canonical(seq):
-                tally.update(seq)
+        for seq in walk(g, kind, length):
+            tally.update(seq)
         out[length] = tally
     return out
 

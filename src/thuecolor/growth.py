@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .bounds import CBRT2, CBRT4, ceil_snapped
+from .bounds import CBRT2, CBRT4, _thue_choice_refined, ceil_snapped
 from .counting import ListAssignment, count_colorings
 from .graphs import ElementId, ElementKind, GeneralizedGraph, delete
 from .repetition import Regime, relevant_elements
@@ -71,11 +71,6 @@ class ClaimFamily:
         )
 
 
-def _thue_choice_lists(d: int) -> int:
-    gamma_term = (3.0 / CBRT4) * d ** (-1 / 3) + CBRT4 * d ** (-2 / 3) + 1.0 / d
-    return ceil_snapped(d * (d - 1) * (1.0 + gamma_term) + 1.0)
-
-
 def _thue_choice_growth(d: int) -> float:
     return d * (d - 1) * (1.0 + CBRT2 * d ** (-1 / 3))
 
@@ -108,7 +103,7 @@ CLAIM_FAMILIES: dict[str, ClaimFamily] = {
             element_kind=ElementKind.VERTEX,
             min_delta=2,
             reference_delta=2,
-            list_size=_thue_choice_lists,
+            list_size=_thue_choice_refined,
             growth=_thue_choice_growth,
         ),
         ClaimFamily(

@@ -9,7 +9,7 @@ edge palettes are shared, and mixed-path squares of odd half-length
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .graphs import (
     ElementId,
@@ -17,8 +17,7 @@ from .graphs import (
     GeneralizedGraph,
     Path,
     PathKind,
-    _canonical,
-    _iter_directed_through,
+    walk,
 )
 
 Color = int
@@ -90,61 +89,6 @@ def relevant_elements(g: GeneralizedGraph, regime: Regime) -> list[ElementId]:
     return out
 
 
-def _square_seqs(
-    g: GeneralizedGraph,
-    coloring: Coloring,
-    kind: PathKind,
-    length: int,
-    colored: frozenset[ElementId],
-    through: ElementId | None,
-) -> Iterator[tuple[ElementId, ...]]:
-    if through is not None:
-        it = _iter_directed_through(g, through, kind, length, allowed=colored)
-        for seq in it:
-            if is_square_colors([coloring[x] for x in seq]):
-                yield seq
-        return
-    yield from _square_dfs(g, coloring, kind, length // 2, colored)
-
-
-def _square_dfs(
-    g: GeneralizedGraph,
-    coloring: Coloring,
-    kind: PathKind,
-    half: int,
-    colored: frozenset[ElementId],
-) -> Iterator[tuple[ElementId, ...]]:
-    """Directed square paths of length 2*half over colored elements.
-
-    Positions past the first half are only extended while they echo the
-    colors of the first half, so a search over a mostly square-free
-    coloring dies off instead of walking every long path.
-    """
-    length = 2 * half
-    seq: list[ElementId] = []
-    on_path: set[ElementId] = set()
-
-    def extend() -> Iterator[tuple[ElementId, ...]]:
-        t = len(seq)
-        if t == length:
-            yield tuple(seq)
-            return
-        candidates = starts if t == 0 else g.neighbors(seq[-1], kind)
-        for y in candidates:
-            if y not in colored or y in on_path:
-                continue
-            if t >= half and coloring[y] != coloring[seq[t - half]]:
-                continue
-            seq.append(y)
-            on_path.add(y)
-            yield from extend()
-            seq.pop()
-            on_path.remove(y)
-
-    starts = sorted(g.domain(kind) & colored)
-    yield from extend()
-
-
 def find_violating_path(
     g: GeneralizedGraph,
     coloring: Coloring,
@@ -170,11 +114,9 @@ def find_violating_path(
         max_half = max(max_half, len(g.domain(kind) & colored) // 2)
     for half in range(1, max_half + 1):
         for kind in regime.path_kinds:
-            hits = [
-                seq
-                for seq in _square_seqs(g, coloring, kind, 2 * half, colored, must_contain)
-                if _canonical(seq)
-            ]
+            hits = list(
+                walk(g, kind, 2 * half, through=must_contain, allowed=colored, echo=coloring)
+            )
             if hits:
                 return Path(kind, min(hits))
     return None
@@ -184,17 +126,7 @@ def has_square_through(
     g: GeneralizedGraph, coloring: Coloring, regime: Regime, x: ElementId
 ) -> bool:
     """True when some fully colored square path of the regime passes through x."""
-    if x not in g:
-        raise ValueError(f"element not in graph: {x}")
-    colored = frozenset(y for y in coloring if y in g)
-    if x not in colored:
-        return False
-    for kind in regime.kinds_through(x.kind):
-        max_half = len(g.domain(kind) & colored) // 2
-        for half in range(1, max_half + 1):
-            for _ in _square_seqs(g, coloring, kind, 2 * half, colored, x):
-                return True
-    return False
+    return find_violating_path(g, coloring, regime, x) is not None
 
 
 def is_valid(g: GeneralizedGraph, coloring: Coloring, regime: Regime) -> bool:

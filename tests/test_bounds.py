@@ -12,7 +12,6 @@ from thuecolor.bounds import (
     ceil_snapped,
     certify_delta_inequalities,
     eval_bound,
-    geometric_sums,
     optimize,
     root_cubic,
     sum_geometric,
@@ -33,9 +32,9 @@ def test_ceil_snapped():
 
 
 def test_geometric_sums_exact_fraction():
-    s = geometric_sums(Fraction(1, 3))
-    assert s.sum_i_x == Fraction(9, 4)
-    assert isinstance(s.sum_i_x, Fraction)
+    s = sum_weighted_geometric(Fraction(1, 3))
+    assert s == Fraction(9, 4)
+    assert isinstance(s, Fraction)
     assert sum_geometric(Fraction(1, 2)) == Fraction(2)
     assert sum_weighted_geometric(Fraction(1, 2)) == Fraction(4)
 
@@ -97,8 +96,19 @@ def test_refined_equals_claim_list_size():
     # the ceil'd refined polynomial and the lemma's list size expression
     # are the same quantity written two ways
     fam = claim_family("thue_choice")
-    for d in (2, 3, 4, 5, 7, 10, 50, 1000, 10**6):
+    for d in [*range(2, 10**4 + 1), 10**6]:
         assert eval_bound("thue_choice_refined", d) == fam.at(d).list_size
+
+
+def test_refined_exact_where_integral():
+    # at Delta = 2m^3, (4 Delta)^(1/3) = 2m and the refined value is the
+    # integer Delta^2 + (Delta-1)(2m + 3m^2); float sums land above it
+    fam = claim_family("thue_choice")
+    for m in range(1, 61):
+        d = 2 * m**3
+        exact = d * d + (d - 1) * (2 * m + 3 * m * m)
+        assert eval_bound("thue_choice_refined", d) == exact
+        assert fam.at(d).list_size == exact
 
 
 def test_refined_at_most_plain_theorem():
@@ -138,7 +148,6 @@ def test_optimize_weak_total_preset():
     res = optimize(SERIES_PRESETS["weak-total"])
     assert abs(res.gamma - 5.21914) < 1e-3
     assert abs(res.gamma - root_cubic()) < 1e-9
-    assert SERIES_PRESETS["weak_total"] == SERIES_PRESETS["weak-total"]
 
 
 def test_optimize_known_closed_form():

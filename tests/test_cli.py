@@ -1,8 +1,12 @@
-"""CLI behavior: exit codes, JSON payloads, determinism across --jobs."""
+"""CLI behavior: exit codes, JSON payloads, deterministic output."""
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import thuecolor
 from thuecolor.cli import run
 from thuecolor.counting import coloring_to_json, lists_to_json, ListAssignment
 from thuecolor.graphs import graph_to_json, path_graph, complete_graph, vertex
@@ -251,16 +255,10 @@ def test_corpus_finds_the_edge_violations(capsys):
         assert v["count"] > v["bound"]
 
 
-def test_corpus_determinism_across_jobs(capsys, monkeypatch):
-    code1, out1, _ = invoke(capsys, "corpus", "--max-half", "2", "--jobs", "1")
-    code2, out2, _ = invoke(capsys, "corpus", "--max-half", "2", "--jobs", "4")
+def test_corpus_determinism_across_jobs(capsys):
+    code1, out1, _ = invoke(capsys, "corpus", "--max-half", "2")
+    code2, out2, _ = invoke(capsys, "corpus", "--max-half", "2")
     assert (code1, out1) == (code2, out2)
-    monkeypatch.setenv("THUECOLOR_JOBS", "3")
-    code3, out3, _ = invoke(capsys, "corpus", "--max-half", "2")
-    assert (code3, out3) == (code1, out1)
-    code, _, err = invoke(capsys, "corpus", "--jobs", "-2")
-    assert code == 2
-    assert "--jobs" in err
 
 
 def test_parse_error_reporting(capsys, tmp_path):
@@ -275,6 +273,39 @@ def test_parse_error_reporting(capsys, tmp_path):
     )
     assert code == 2
     assert "no such file" in err
+
+
+@pytest.mark.parametrize("command", ["count", "verify"])
+@pytest.mark.parametrize(
+    "content",
+    ["[1]", '[{"element": {"kind": "v", "index": 0}, "color": 1, "colors": [1]}, "x"]', None],
+)
+def test_bad_input_files_exit_two(capsys, tmp_path, command, content):
+    gpath = write_graph(tmp_path, path_graph(2))
+    if content is None:
+        target = tmp_path / "a_directory"
+        target.mkdir()
+    else:
+        target = tmp_path / "input.json"
+        target.write_text(content)
+    if command == "count":
+        argv = ["count", gpath, "--regime", "vertex", "--lists", str(target)]
+    else:
+        argv = ["verify", gpath, "--regime", "vertex", "--coloring", str(target)]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_module_entry_point():
+    src = os.path.dirname(os.path.dirname(thuecolor.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "thuecolor.cli", "bounds", "--name", "weak_total", "--delta", "7"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0
+    assert json.loads(done.stdout) == {"delta": 7, "name": "weak_total", "value": 42}
 
 
 def test_usage_exits(capsys):

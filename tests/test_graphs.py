@@ -24,6 +24,7 @@ from thuecolor.graphs import (
     path_is_valid,
     petersen_graph,
     vertex,
+    walk,
 )
 
 
@@ -170,6 +171,56 @@ def test_count_paths_containing_matches_enumeration():
                 for length in (2, 4, 6):
                     direct = len(enumerate_paths_through(g, x, kind, length))
                     assert tally[length].get(x, 0) == direct
+
+
+WALK_GRAPHS = {
+    "K5": complete_graph(5),
+    "petersen": petersen_graph(),
+    "C7": cycle_graph(7),
+    "P9": path_graph(9),
+}
+
+
+def _full_walk(g, kind, length):
+    """The unanchored, unpruned walk: the reference the other modes are filtered from."""
+    seqs = list(walk(g, kind, length))
+    assert len(seqs) == len(set(seqs))
+    for s in seqs:
+        assert s[0] <= s[-1] and s <= s[::-1]
+        assert len(s) == length and path_is_valid(g, Path(kind, s))
+    return set(seqs)
+
+
+@pytest.mark.parametrize("kind", list(PathKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("name", list(WALK_GRAPHS))
+def test_walk_through_matches_filtered_full_walk(name, kind):
+    g = WALK_GRAPHS[name]
+    for length in range(1, 9):
+        full = _full_walk(g, kind, length)
+        for x in sorted(g.domain(kind)):
+            seqs = list(walk(g, kind, length, through=x))
+            assert len(seqs) == len(set(seqs))
+            assert set(seqs) == {s for s in full if x in s}
+
+
+@pytest.mark.parametrize("colors", [2, 3])
+@pytest.mark.parametrize("kind", list(PathKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("name", list(WALK_GRAPHS))
+def test_walk_echo_matches_filtered_squares(name, kind, colors):
+    g = WALK_GRAPHS[name]
+    rnd = random.Random(f"{name}:{kind.value}:{colors}")
+    colorings = [{x: rnd.randrange(colors) for x in sorted(g.elements)} for _ in range(3)]
+    for half in range(1, 5):
+        full = _full_walk(g, kind, 2 * half)
+        for c in colorings:
+            squares = {s for s in full if [c[y] for y in s[:half]] == [c[y] for y in s[half:]]}
+            seqs = list(walk(g, kind, 2 * half, echo=c))
+            assert len(seqs) == len(set(seqs))
+            assert set(seqs) == squares
+            for x in sorted(g.domain(kind)):
+                assert set(walk(g, kind, 2 * half, through=x, echo=c)) == {
+                    s for s in squares if x in s
+                }
 
 
 def test_count_paths_bound_values():
