@@ -9,6 +9,20 @@ Candidate square paths are precomputed per instance and indexed by the
 element of theirs that is assigned last, which makes the per-node check
 a handful of integer comparisons.
 
+The counter does not visit every coloring.  Whether a coloring is
+square-free depends only on which elements share a color.  So at depth
+d, two colors that no earlier element uses and that belong to exactly
+the same lists among the elements d, d+1, ... are interchangeable:
+swapping them maps the valid completions of one choice onto those of
+the other.  The counter groups each palette by that membership once per
+depth, descends into one unused color per group and multiplies the
+subtree count by the number of unused colors in the group; colors in
+use are tried one by one.  An unused color cannot complete a square at
+d, whose echo partner would need the same color, so it is not checked.
+Each coloring lies in exactly one subtree and is counted once, by an
+integer weight, so the count stays exact.  Uniform lists give one group
+per depth.
+
 A brute-force counter that filters every total assignment through the
 independent square search is kept for cross-validation on tiny
 instances.
@@ -25,6 +39,7 @@ from .graphs import (
     GeneralizedGraph,
     delete,
     edge,
+    is_int,
     vertex,
     walk,
 )
@@ -74,7 +89,7 @@ def lists_from_json(obj, g: GeneralizedGraph) -> ListAssignment:
         if set(obj) != {"uniform"}:
             raise ValueError("list assignment object must be {\"uniform\": k}")
         k = obj["uniform"]
-        if not isinstance(k, int) or k < 0:
+        if not is_int(k) or k < 0:
             raise ValueError("uniform list size must be a nonnegative integer")
         return ListAssignment.uniform(g, k)
     if not isinstance(obj, list):
@@ -85,7 +100,7 @@ def lists_from_json(obj, g: GeneralizedGraph) -> ListAssignment:
             raise ValueError(f"list entry must be an object: {entry!r}")
         elem = element_from_json(entry.get("element"))
         colors = entry.get("colors")
-        if not isinstance(colors, list) or any(not isinstance(c, int) for c in colors):
+        if not isinstance(colors, list) or not all(is_int(c) for c in colors):
             raise ValueError(f"colors for {elem} must be an integer array")
         if elem in lists:
             raise ValueError(f"duplicate list for element {elem}")
@@ -104,7 +119,7 @@ def element_from_json(obj) -> ElementId:
     if not isinstance(obj, Mapping) or set(obj) != {"kind", "index"}:
         raise ValueError(f"malformed element reference: {obj!r}")
     kind, index = obj["kind"], obj["index"]
-    if kind not in ("v", "e") or not isinstance(index, int):
+    if kind not in ("v", "e") or not is_int(index):
         raise ValueError(f"malformed element reference: {obj!r}")
     return vertex(index) if kind == "v" else edge(index)
 
@@ -122,7 +137,7 @@ def coloring_from_json(obj) -> dict[ElementId, Color]:
             raise ValueError(f"coloring entry must be an object: {entry!r}")
         elem = element_from_json(entry.get("element"))
         color = entry.get("color")
-        if not isinstance(color, int):
+        if not is_int(color):
             raise ValueError(f"color for {elem} must be an integer")
         if elem in out:
             raise ValueError(f"duplicate color entry for element {elem}")
@@ -192,29 +207,47 @@ def _compile(
     )
 
 
-def _count_compiled(cp: _Compiled) -> int:
+def _count_symmetric(cp: _Compiled) -> int:
     m = len(cp.order)
     if m == 0:
         return 1
+    # remap colors to 0..K-1 so that "used" is a flat list
+    index = {c: i for i, c in enumerate(set().union(*cp.palettes))}
+    # classes[d]: palette d grouped by the positions d..m-1 whose palettes
+    # hold each color, collected from the last position backwards
+    held: list[tuple[int, ...]] = [()] * len(index)
+    classes: list[list[list[int]]] = [[] for _ in range(m)]
+    for d in range(m - 1, -1, -1):
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for c in cp.palettes[d]:
+            i = index[c]
+            held[i] += (d,)
+            groups.setdefault(held[i], []).append(i)
+        classes[d] = list(groups.values())
     colors = [0] * m
-    palettes = cp.palettes
+    used = [False] * len(index)
     partners = cp.partners
     longer = cp.longer
     last_d = m - 1
 
     def rec(d: int) -> int:
-        palette = palettes[d]
         prt = partners[d]
         lng = longer[d]
         total = 0
-        if d == last_d:
-            for c in palette:
+        for cls in classes[d]:
+            fresh = 0
+            for c in cls:
+                if not used[c]:
+                    if not fresh:
+                        rep = c
+                    fresh += 1
+                    continue
                 ok = True
                 for p in prt:
                     if colors[p] == c:
                         ok = False
                         break
-                if ok and lng:
+                if ok:
                     colors[d] = c
                     for pairs in lng:
                         for a, b in pairs:
@@ -223,26 +256,15 @@ def _count_compiled(cp: _Compiled) -> int:
                         else:
                             ok = False
                             break
-                if ok:
-                    total += 1
-            return total
-        for c in palette:
-            ok = True
-            for p in prt:
-                if colors[p] == c:
-                    ok = False
-                    break
-            if ok:
-                colors[d] = c
-                for pairs in lng:
-                    for a, b in pairs:
-                        if colors[a] != colors[b]:
-                            break
-                    else:
-                        ok = False
-                        break
-                if ok:
-                    total += rec(d + 1)
+                    if ok:
+                        total += rec(d + 1) if d < last_d else 1
+            if fresh:
+                # every unused color of the class has the same subtree; a
+                # fresh color cannot complete a square, so no check is made
+                colors[d] = rep
+                used[rep] = True
+                total += fresh * (rec(d + 1) if d < last_d else 1)
+                used[rep] = False
         return total
 
     return rec(0)
@@ -259,7 +281,7 @@ def count_colorings(
     The empty graph has exactly one coloring.  The result does not
     depend on ``order``, which only directs the backtracking.
     """
-    return _count_compiled(_compile(g, lists, regime, order))
+    return _count_symmetric(_compile(g, lists, regime, order))
 
 
 def enumerate_colorings(

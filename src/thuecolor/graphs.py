@@ -471,17 +471,26 @@ def graph_to_json(g: GeneralizedGraph) -> dict:
     return obj
 
 
+def is_int(value) -> bool:
+    """True for an integer that is not a bool (JSON ``true`` parses as one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _array(value, what: str, of_ints: bool = False) -> list:
+    if not isinstance(value, list) or (of_ints and not all(map(is_int, value))):
+        raise ValueError(f"{what} must be an {'integer ' if of_ints else ''}array: {value!r}")
+    return value
+
+
 def graph_from_json(obj: Mapping) -> GeneralizedGraph:
     """Parse the canonical JSON object produced by ``graph_to_json``."""
     if not isinstance(obj, Mapping):
         raise ValueError("graph JSON must be an object")
     try:
-        vert_idx = list(obj["vertices"])
-        edge_objs = list(obj["edges"])
+        vert_idx = _array(obj["vertices"], "vertices", of_ints=True)
+        edge_objs = _array(obj["edges"], "edges")
     except KeyError as missing:
         raise ValueError(f"graph JSON lacks required key {missing}") from None
-    if any(not isinstance(i, int) for i in vert_idx):
-        raise ValueError("vertex indices must be integers")
     if len(set(vert_idx)) != len(vert_idx):
         raise ValueError("duplicate vertex index")
     verts = frozenset(vertex(i) for i in vert_idx)
@@ -491,13 +500,13 @@ def graph_from_json(obj: Mapping) -> GeneralizedGraph:
     edge_ids: set[ElementId] = set()
     incident: dict[int, list[ElementId]] = {}
     for eo in edge_objs:
-        if not isinstance(eo, Mapping) or "id" not in eo or "ends" not in eo:
+        if not isinstance(eo, Mapping) or not is_int(eo.get("id")) or "ends" not in eo:
             raise ValueError(f"malformed edge entry: {eo!r}")
-        e = edge(int(eo["id"]))
+        e = edge(eo["id"])
         if e in edge_ids:
             raise ValueError(f"duplicate edge id {eo['id']}")
         edge_ids.add(e)
-        ends = list(eo["ends"])
+        ends = _array(eo["ends"], f"ends of edge {eo['id']}", of_ints=True)
         if len(ends) > 2 or len(set(ends)) != len(ends):
             raise ValueError(f"edge {eo['id']} has malformed ends {ends!r}")
         for u in ends:
@@ -514,8 +523,8 @@ def graph_from_json(obj: Mapping) -> GeneralizedGraph:
         ("extra_vv", verts, vv),
         ("extra_ee", edge_ids, ee),
     ):
-        for pair in obj.get(key, []):
-            if len(pair) != 2 or pair[0] == pair[1]:
+        for pair in _array(obj.get(key, []), key):
+            if len(_array(pair, f"{key} pair", of_ints=True)) != 2 or pair[0] == pair[1]:
                 raise ValueError(f"malformed {key} pair {pair!r}")
             mk = vertex if key == "extra_vv" else edge
             a, b = mk(pair[0]), mk(pair[1])

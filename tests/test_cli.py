@@ -298,6 +298,46 @@ def test_bad_input_files_exit_two(capsys, tmp_path, command, content):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "graph",
+    [
+        {"vertices": 5, "edges": []},
+        {"vertices": [0, 1], "edges": [{"id": 0, "ends": 7}]},
+        {"vertices": [0, 1], "edges": [{"id": [1], "ends": [0, 1]}]},
+        {"vertices": [0, 1], "edges": [], "extra_vv": [5]},
+        {"vertices": [0, 1], "edges": [{"id": "0", "ends": [0, 1]}]},
+        {"vertices": [0, True], "edges": []},
+    ],
+)
+def test_malformed_graph_exits_two(capsys, tmp_path, graph):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+    code, out, err = invoke(capsys, "count", str(path), "--regime", "vertex", "--uniform", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad graph in ")
+
+
+@pytest.mark.parametrize(
+    "option, content",
+    [
+        ("--lists", {"uniform": True}),
+        ("--lists", [{"element": {"kind": "v", "index": 0}, "colors": [True, 2]}]),
+        ("--lists", [{"element": {"kind": "v", "index": False}, "colors": [1, 2]}]),
+        ("--coloring", [{"element": {"kind": "v", "index": 0}, "color": True}]),
+    ],
+)
+def test_bool_is_not_an_integer(capsys, tmp_path, option, content):
+    gpath = write_graph(tmp_path, path_graph(1))
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    command = "count" if option == "--lists" else "verify"
+    code, out, err = invoke(capsys, command, gpath, "--regime", "vertex", option, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_module_entry_point():
     src = os.path.dirname(os.path.dirname(thuecolor.__file__))
     done = subprocess.run(

@@ -1,4 +1,5 @@
 """Exact counting of square-free list colorings and the deletion identity."""
+import math
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from thuecolor.counting import (
     lists_to_json,
 )
 from thuecolor.graphs import (
+    complete_graph,
     cycle_graph,
     delete,
     edge,
@@ -24,7 +26,7 @@ from thuecolor.graphs import (
     path_graph,
     vertex,
 )
-from thuecolor.repetition import Regime, is_valid, relevant_elements
+from thuecolor.repetition import Regime, has_square_through, is_valid, relevant_elements
 
 
 def _rand_graph(rnd, n_max=5):
@@ -216,3 +218,88 @@ def test_json_round_trips():
         element_from_json({"kind": "w", "index": 0})
     with pytest.raises(ValueError):
         lists_from_json({"uniform": -1}, g)
+
+
+def _reference_count(g, lists, regime, order=None):
+    """Backtracking without palette symmetry: every color is tried at every
+    element, and a branch is cut by the independent square search."""
+    elems = relevant_elements(g, regime) if order is None else list(order)
+    coloring = {}
+
+    def rec(d):
+        if d == len(elems):
+            return 1
+        x = elems[d]
+        total = 0
+        for c in sorted(lists.colors(x)):
+            coloring[x] = c
+            if not has_square_through(g, coloring, regime, x):
+                total += rec(d + 1)
+        coloring.pop(x, None)
+        return total
+
+    return rec(0)
+
+
+def _shared_lists(rnd, g, pool):
+    """Per-element lists drawn from one pool: a common core plus extras, so
+    color classes are neither all singletons nor a single class."""
+    core = rnd.sample(pool, rnd.randint(0, len(pool)))
+    rest = [c for c in pool if c not in core]
+    return ListAssignment.from_map(
+        {x: core + rnd.sample(rest, rnd.randint(0, len(rest))) for x in g.elements}
+    )
+
+
+def test_counts_match_reference_backtracker():
+    rnd = random.Random(80551)
+    pools = [list(range(4)), [-5, 7, 10**9], [-5, 7, 10**9, 3, -1], list(range(8))]
+    checked = 0
+    while checked < 40:
+        g = _rand_graph(rnd, n_max=5)
+        regime = rnd.choice(list(Regime))
+        L = _shared_lists(rnd, g, rnd.choice(pools))
+        got = count_colorings(g, L, regime)
+        if got > 10**5 or len(relevant_elements(g, regime)) > 9:
+            continue
+        assert got == _reference_count(g, L, regime)
+        order = relevant_elements(g, regime)
+        rnd.shuffle(order)
+        assert count_colorings(g, L, regime, order=order) == got
+        checked += 1
+
+
+def test_uniform_sparse_palette_matches_reference():
+    # uniform lists give one class per depth; colors far from 0..k-1
+    # exercise the remapping
+    g = cycle_graph(5)
+    L = ListAssignment.from_map({x: [-5, 7, 10**9] for x in g.elements})
+    for regime in Regime:
+        got = count_colorings(g, L, regime)
+        assert got == _reference_count(g, L, regime)
+        order = relevant_elements(g, regime)[::-1]
+        assert count_colorings(g, L, regime, order=order) == got
+
+
+def test_empty_palette_anywhere_gives_zero():
+    g = path_graph(4)
+    for empty in range(4):
+        L = ListAssignment.from_map(
+            {vertex(i): [] if i == empty else [1, 2, 3] for i in range(4)}
+        )
+        assert count_colorings(g, L, Regime.VERTEX) == 0
+        order = [vertex(i) for i in (2, 0, 3, 1)]
+        assert count_colorings(g, L, Regime.VERTEX, order=order) == 0
+
+
+def test_closed_forms():
+    # in K_n every two vertices are adjacent, so a vertex coloring is
+    # square-free exactly when it is injective: the falling factorial
+    for n in range(1, 7):
+        g = complete_graph(n)
+        for k in (n - 1, n, n + 3, 40):
+            want = math.perm(k, n)
+            assert count_colorings(g, ListAssignment.uniform(g, k), Regime.VERTEX) == want
+    g = path_graph(3)
+    k = 1000
+    assert count_colorings(g, ListAssignment.uniform(g, k), Regime.VERTEX) == k * (k - 1) ** 2

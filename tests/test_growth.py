@@ -4,7 +4,14 @@ import math
 import pytest
 
 from thuecolor.counting import ListAssignment, count_colorings
-from thuecolor.graphs import cycle_graph, edge, path_graph, vertex
+from thuecolor.graphs import (
+    complete_graph,
+    cycle_graph,
+    edge,
+    path_graph,
+    petersen_graph,
+    vertex,
+)
 from thuecolor.growth import (
     CLAIM_FAMILIES,
     GrowthClaim,
@@ -230,3 +237,25 @@ def test_report_consistent_with_direct_counts():
     from thuecolor.graphs import delete
 
     assert rep.count_without == count_colorings(delete(g, {vertex(2)}), lists, Regime.VERTEX)
+
+
+def test_growth_checks_at_delta_three():
+    # Delta = 3 is the degree the paper is about.  Petersen at weak_total's
+    # 18 colors is left out: its count did not finish in ten minutes.
+    thue = claim_family("thue_choice").at(3)
+    assert thue.list_size == 22
+    for g, with_x in (
+        (complete_graph(4), 22 * 21 * 20 * 19),
+        (petersen_graph(), 11_622_692_077_920),
+    ):
+        lists = ListAssignment.uniform(g, thue.list_size)
+        for x in sorted(g.vertices):
+            report = check_growth(g, lists, thue, x)
+            assert report.holds
+            assert report.lhs == with_x
+    weak = claim_family("weak_total").at(3)
+    assert weak.list_size == 18
+    k4 = complete_graph(4)
+    lists = ListAssignment.uniform(k4, weak.list_size)
+    for x in sorted(k4.elements):
+        assert check_growth(k4, lists, weak, x).holds
