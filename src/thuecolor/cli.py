@@ -33,7 +33,7 @@ from .graphs import (
     vertex,
 )
 from .growth import check_growth, claim_family
-from .repetition import Regime, find_square, find_violating_path, is_valid
+from .repetition import Regime, find_square, find_violating_path, require_total
 from .resample import resample_color
 
 class UsageError(Exception):
@@ -144,15 +144,13 @@ def _cmd_verify(args) -> dict:
         raise UsageError(f"bad coloring in {args.coloring}: {err}") from None
     regime = _parse_regime(args.regime)
     try:
-        valid = is_valid(g, coloring, regime)
+        require_total(g, coloring, regime)
     except ValueError as err:
         raise UsageError(str(err)) from None
-    payload: dict = {"valid": valid, "violating_path": None}
-    if not valid:
-        violation = find_violating_path(g, coloring, regime)
-        payload["violating_path"] = _path_json(violation)
-        raise PropertyViolation(payload)
-    return payload
+    violation = find_violating_path(g, coloring, regime)
+    if violation is not None:
+        raise PropertyViolation({"valid": False, "violating_path": _path_json(violation)})
+    return {"valid": True, "violating_path": None}
 
 
 def _cmd_count(args) -> dict:
@@ -302,6 +300,8 @@ def _cmd_certify(args) -> dict:
 def _cmd_color(args) -> dict:
     g = _load_graph(args.graph)
     if args.colors is not None:
+        if args.colors < 0:
+            raise UsageError("--colors must be nonnegative")
         lists = ListAssignment.uniform(g, args.colors)
     else:
         lists = _load_lists(args, g)

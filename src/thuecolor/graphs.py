@@ -18,8 +18,9 @@ lexicographically smaller element sequence.
 
 Every path enumeration in the package goes through one generator,
 ``walk``: all paths of a kind and length, or those through one element
-(``through``), over a subset of elements (``allowed``), and optionally
-only the squares of a coloring (``echo``), pruned as the walk grows.
+(``through``), over a subset of elements (``allowed``).  The square
+search of ``repetition`` grows paths by color word instead and does not
+enumerate them.
 """
 from __future__ import annotations
 
@@ -272,7 +273,6 @@ def walk(
     *,
     through: ElementId | None = None,
     allowed: Iterable[ElementId] | None = None,
-    echo: Mapping[ElementId, int] | None = None,
 ) -> Iterator[tuple[ElementId, ...]]:
     """Each simple path of ``kind`` with ``length`` elements, once, canonically.
 
@@ -282,34 +282,26 @@ def walk(
     position in turn, grows the part after x, then the reversed part
     before x.  Neighbours are tried in ``g.neighbors`` order.
     ``allowed`` restricts the elements a path may use.
-
-    ``echo`` maps elements to colors and keeps only squares: the element
-    at position t must repeat the color at t - length/2.  The check runs
-    as soon as both elements of such a pair are placed, so it prunes the
-    walk rather than filtering its output; every allowed element of the
-    path's kind must be colored.
     """
     if length < 1:
         raise ValueError("path length must be positive")
-    if echo is not None and length % 2:
-        raise ValueError("a square has an even length")
     domain = g.domain(kind)
     if allowed is not None:
         domain = domain & frozenset(allowed)
+    if length > len(domain):
+        return
     nbrs = g._neighbor_table(kind)
-    half = length // 2
     seq: list = [None] * length
     used: set[ElementId] = set()
 
-    def fill(plan: list[tuple[int, int, int]], t: int) -> Iterator[tuple[ElementId, ...]]:
+    def fill(plan: list[tuple[int, int]], t: int) -> Iterator[tuple[ElementId, ...]]:
         if t == len(plan):
             if seq[0] <= seq[-1]:
                 yield tuple(seq)
             return
-        p, anchor, partner = plan[t]
-        want = None if partner < 0 else echo[seq[partner]]
+        p, anchor = plan[t]
         for y in nbrs.get(seq[anchor], ()):
-            if y in used or y not in domain or (want is not None and echo[y] != want):
+            if y in used or y not in domain:
                 continue
             seq[p] = y
             used.add(y)
@@ -323,15 +315,9 @@ def walk(
     else:
         return
     for j in positions:
-        # positions after j, then before it, each grown from its placed
-        # neighbour; an echo pair is checked when its later member is placed
-        plan = []
-        placed = {j}
-        for p in [*range(j + 1, length), *range(j - 1, -1, -1)]:
-            partner = p + half if p < half else p - half
-            check = echo is not None and partner in placed
-            plan.append((p, p - 1 if p > j else p + 1, partner if check else -1))
-            placed.add(p)
+        # positions after j, then before it, each grown from its placed neighbour
+        plan = [(p, p - 1) for p in range(j + 1, length)]
+        plan += [(p, p + 1) for p in range(j - 1, -1, -1)]
         for x in firsts:
             seq[j] = x
             used.add(x)

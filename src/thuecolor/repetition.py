@@ -5,6 +5,10 @@ A square is a sequence s1..s2n whose halves agree position by position
 regime when no path of the regime's kinds induces a square.  Vertex and
 edge palettes are shared, and mixed-path squares of odd half-length
 (which compare vertex colors with edge colors) count as violations.
+
+``find_violating_path`` does not enumerate paths: it grows them one
+element per level, grouped by the color word they spell, so a single
+pass covers every half-length.
 """
 from __future__ import annotations
 
@@ -17,7 +21,6 @@ from .graphs import (
     GeneralizedGraph,
     Path,
     PathKind,
-    walk,
 )
 
 Color = int
@@ -102,24 +105,121 @@ def find_violating_path(
     deterministic.  Only paths all of whose elements are colored are
     considered; ``must_contain`` restricts the search to paths through
     that element.
+
+    One level-synchronous pass covers every half-length.  Level h holds,
+    per path kind, the directed simple paths of h colored elements,
+    grouped by the color word they spell; a square of half h is a pair
+    A, B from one group with B[0] adjacent to A[-1] and A, B disjoint.
+    The two halves of a square end at distinct elements at every level,
+    so a group whose paths all end at one element is dropped, and the
+    groups die out on a square-free coloring.  Through ``must_contain``
+    the pass instead grows the pairs of halves themselves, in lockstep
+    and in both directions from x and an element of x's color: squares
+    elsewhere in the graph then cost nothing.
     """
-    colored = frozenset(x for x in coloring if x in g)
+    colored = g.elements.intersection(coloring)
     if must_contain is not None:
         if must_contain not in g:
             raise ValueError(f"element not in graph: {must_contain}")
         if must_contain not in colored:
             return None
-    max_half = 0
-    for kind in regime.path_kinds:
-        max_half = max(max_half, len(g.domain(kind) & colored) // 2)
-    for half in range(1, max_half + 1):
-        for kind in regime.path_kinds:
-            hits = list(
-                walk(g, kind, 2 * half, through=must_contain, allowed=colored, echo=coloring)
-            )
-            if hits:
-                return Path(kind, min(hits))
+    anchored = must_contain is not None
+    grow, least = (_next_pairs, _least_anchored) if anchored else (_next_groups, _least_square)
+    searches = []
+    for kind in regime.path_kinds:  # in kind order, which breaks ties
+        domain = g.domain(kind) & colored
+        adj = g._neighbor_table(kind)
+        if adj.keys() != domain:  # uncolored or isolated elements
+            adj = {x: tuple(y for y in adj.get(x, ()) if y in domain) for x in domain}
+        if not anchored:
+            classes: dict[Color, list[tuple[ElementId, ...]]] = {}
+            for x in domain:
+                classes.setdefault(coloring[x], []).append((x,))
+            level = _split_ends(classes.values())
+        elif must_contain in domain:
+            x = must_contain
+            level = [((x,), (y,), False) for y in domain if y != x and coloring[y] == coloring[x]]
+        else:
+            continue
+        searches.append((kind, adj, level))
+    while searches:
+        for kind, adj, level in searches:
+            hit = least(adj, level)
+            if hit is not None:
+                return Path(kind, hit)
+        searches = [
+            (kind, adj, nxt)
+            for kind, adj, level in searches
+            if (nxt := grow(adj, coloring, level))
+        ]
     return None
+
+
+def _split_ends(groups):
+    """The groups whose paths end at two or more distinct elements."""
+    return [grp for grp in groups if any(p[-1] != grp[0][-1] for p in grp)]
+
+
+def _next_groups(adj, coloring: Coloring, groups):
+    """Extend every path by one element, splitting each group by its color."""
+    out = []
+    for grp in groups:
+        children: dict[Color, list[tuple[ElementId, ...]]] = {}
+        for p in grp:
+            for y in adj[p[-1]]:
+                if y not in p:
+                    children.setdefault(coloring[y], []).append(p + (y,))
+        out.extend(_split_ends(children.values()))
+    return out
+
+
+def _least_square(adj, groups):
+    """The least canonical A + B over the pairs of one group that form a square."""
+    best = None
+    for grp in groups:
+        starts: dict[ElementId, list[tuple[ElementId, ...]]] = {}
+        for p in grp:
+            starts.setdefault(p[0], []).append(p)
+        for a in grp:
+            for y in adj[a[-1]]:
+                for b in starts.get(y, ()):
+                    if a[0] < b[-1] and set(a).isdisjoint(b) and (best is None or a + b < best):
+                        best = a + b
+    return best
+
+
+def _next_pairs(adj, coloring: Coloring, pairs):
+    """Extend both halves by one element of one color at the same end.
+
+    A pair grows on the right until it first grows on the left, and on
+    the left only after that, so each pair of halves is built once.
+    """
+    out = []
+    for a, b, left in pairs:
+        for to_left in (True,) if left else (False, True):
+            end_a, end_b = (a[0], b[0]) if to_left else (a[-1], b[-1])
+            for y in adj[end_a]:
+                if y in a or y in b:
+                    continue
+                for z in adj[end_b]:
+                    if z == y or coloring[z] != coloring[y] or z in a or z in b:
+                        continue
+                    if to_left:
+                        out.append(((y,) + a, (z,) + b, True))
+                    else:
+                        out.append((a + (y,), b + (z,), False))
+    return out
+
+
+def _least_anchored(adj, pairs):
+    """The least canonical square A + B over the grown pairs of halves."""
+    best = None
+    for a, b, _ in pairs:
+        if b[0] in adj[a[-1]]:
+            seq = min(a + b, (a + b)[::-1])
+            if best is None or seq < best:
+                best = seq
+    return best
 
 
 def has_square_through(
@@ -129,23 +229,16 @@ def has_square_through(
     return find_violating_path(g, coloring, regime, x) is not None
 
 
-def is_valid(g: GeneralizedGraph, coloring: Coloring, regime: Regime) -> bool:
-    """True when the coloring is total on the regime's elements and square-free."""
+def require_total(g: GeneralizedGraph, coloring: Coloring, regime: Regime) -> None:
+    """Raise ValueError unless every element the regime colors has a color."""
     missing = [x for x in relevant_elements(g, regime) if x not in coloring]
     if missing:
         raise ValueError(
             f"coloring is partial for regime {regime.value}: missing {missing[0]}"
         )
+
+
+def is_valid(g: GeneralizedGraph, coloring: Coloring, regime: Regime) -> bool:
+    """True when the coloring is total on the regime's elements and square-free."""
+    require_total(g, coloring, regime)
     return find_violating_path(g, coloring, regime) is None
-
-
-def interleaved_sequence(g: GeneralizedGraph, coloring: Coloring, n: int) -> list[Color]:
-    """Colors along a standard path graph read v0, e0, v1, e1, ..., v_{n-1}."""
-    from .graphs import edge, vertex
-
-    seq: list[Color] = []
-    for i in range(n):
-        seq.append(coloring[vertex(i)])
-        if i < n - 1:
-            seq.append(coloring[edge(i)])
-    return seq

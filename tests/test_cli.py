@@ -7,10 +7,12 @@ import sys
 import pytest
 
 import thuecolor
+import thuecolor.cli
+import thuecolor.repetition
 from thuecolor.cli import run
 from thuecolor.counting import coloring_to_json, lists_to_json, ListAssignment
 from thuecolor.graphs import graph_to_json, path_graph, complete_graph, vertex
-from thuecolor.repetition import Regime
+from thuecolor.repetition import Regime, find_violating_path
 
 
 def invoke(capsys, *argv):
@@ -151,6 +153,19 @@ def test_paths_subcommand(capsys, tmp_path):
     assert all(p["kind"] == "vertex" and len(p["elements"]) == 2 for p in listed)
 
 
+def test_paths_longer_than_the_graph_are_none(tmp_path):
+    # a path cannot outgrow the element set, whatever --length asks for
+    gpath = write_graph(tmp_path, path_graph(3))
+    done = subprocess.run(
+        [sys.executable, "-m", "thuecolor.cli", "paths", gpath, "--through", "v:0",
+         "--kind", "vertex", "--length", "100000"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(thuecolor.__file__))},
+    )
+    assert done.returncode == 0
+    assert json.loads(done.stdout) == {"bound": 100000, "count": 0, "holds": True}
+
+
 def test_paths_counterexample_exits_one(capsys, tmp_path):
     gpath = write_graph(tmp_path, complete_graph(5))
     code, out, _ = invoke(
@@ -240,6 +255,34 @@ def test_color_subcommand(capsys, tmp_path):
         capsys, "color", gpath, "--regime", "vertex", "--colors", "4", "--seed", "5"
     )
     assert out2 == out
+
+
+def test_color_rejects_negative_colors(capsys, tmp_path):
+    gpath = write_graph(tmp_path, path_graph(3))
+    code, out, err = invoke(capsys, "color", gpath, "--regime", "vertex", "--colors", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --colors must be nonnegative\n"
+
+
+def test_verify_searches_once(capsys, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return find_violating_path(*args, **kwargs)
+
+    monkeypatch.setattr(thuecolor.cli, "find_violating_path", counted)
+    monkeypatch.setattr(thuecolor.repetition, "find_violating_path", counted)
+    gpath = write_graph(tmp_path, path_graph(3))
+    for colors, code in (((1, 2, 2), 1), ((1, 2, 3), 0)):
+        calls.clear()
+        coloring = tmp_path / "c.json"
+        coloring.write_text(json.dumps(coloring_to_json(
+            {vertex(i): c for i, c in enumerate(colors)}
+        )))
+        assert invoke(capsys, "verify", gpath, "--coloring", str(coloring))[0] == code
+        assert len(calls) == 1
 
 
 def test_corpus_finds_the_edge_violations(capsys):

@@ -26,6 +26,7 @@ from thuecolor.graphs import (
     vertex,
     walk,
 )
+from thuecolor.repetition import Regime, find_violating_path, relevant_elements
 
 
 def _rand_graph(rnd, n_max=7, extra=0.5):
@@ -203,24 +204,67 @@ def test_walk_through_matches_filtered_full_walk(name, kind):
             assert set(seqs) == {s for s in full if x in s}
 
 
+# each regime is checked once, under the last of its path kinds
+REGIMES_ENDING_IN = {
+    PathKind.VERTEX: (Regime.VERTEX,),
+    PathKind.EDGE: (Regime.EDGE,),
+    PathKind.MIXED: (Regime.WEAK_TOTAL, Regime.STRONG_TOTAL),
+}
+ORACLE_MAX_HALF = 4
+
+
 @pytest.mark.parametrize("colors", [2, 3])
 @pytest.mark.parametrize("kind", list(PathKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("name", list(WALK_GRAPHS))
 def test_walk_echo_matches_filtered_squares(name, kind, colors):
+    """find_violating_path against the squares filtered from the full walk.
+
+    The oracle is the least square by half, then kind, then sequence,
+    over halves up to ORACLE_MAX_HALF, with and without ``must_contain``;
+    one coloring of each case leaves some elements uncolored.
+    """
     g = WALK_GRAPHS[name]
     rnd = random.Random(f"{name}:{kind.value}:{colors}")
     colorings = [{x: rnd.randrange(colors) for x in sorted(g.elements)} for _ in range(3)]
-    for half in range(1, 5):
-        full = _full_walk(g, kind, 2 * half)
-        for c in colorings:
-            squares = {s for s in full if [c[y] for y in s[:half]] == [c[y] for y in s[half:]]}
-            seqs = list(walk(g, kind, 2 * half, echo=c))
-            assert len(seqs) == len(set(seqs))
-            assert set(seqs) == squares
-            for x in sorted(g.domain(kind)):
-                assert set(walk(g, kind, 2 * half, through=x, echo=c)) == {
-                    s for s in squares if x in s
-                }
+    for x in rnd.sample(sorted(g.elements), len(g.elements) // 5):
+        del colorings[-1][x]
+    walks = {
+        (k, half): _full_walk(g, k, 2 * half)
+        for k in REGIMES_ENDING_IN[kind][-1].path_kinds
+        for half in range(1, ORACLE_MAX_HALF + 1)
+    }
+    for c in colorings:
+        squares = {
+            key: [
+                s for s in sorted(seqs)
+                if all(y in c for y in s) and [c[y] for y in s[: key[1]]] == [c[y] for y in s[key[1]:]]
+            ]
+            for key, seqs in walks.items()
+        }
+        for regime in REGIMES_ENDING_IN[kind]:
+            for x in [None, *relevant_elements(g, regime)]:
+                found = find_violating_path(g, c, regime, must_contain=x)
+                expected = next(
+                    (
+                        Path(k, s)
+                        for half in range(1, ORACLE_MAX_HALF + 1)
+                        for k in regime.path_kinds
+                        for s in squares[k, half]
+                        if x is None or x in s
+                    ),
+                    None,
+                )
+                if expected is not None or found is None:
+                    assert found == expected, (regime, x)
+                    continue
+                # no square up to the oracle's halves: any answer is longer
+                half = len(found) // 2
+                assert half > ORACLE_MAX_HALF and path_is_valid(g, found)
+                assert x is None or x in found.elements
+                assert all(y in c for y in found.elements)
+                assert [c[y] for y in found.elements[:half]] == [
+                    c[y] for y in found.elements[half:]
+                ]
 
 
 def test_count_paths_bound_values():

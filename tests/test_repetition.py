@@ -19,11 +19,20 @@ from thuecolor.repetition import (
     find_square,
     find_violating_path,
     has_square_through,
-    interleaved_sequence,
     is_square_colors,
     is_valid,
     relevant_elements,
 )
+
+
+def interleaved_sequence(coloring, n):
+    """Colors along the path graph on n vertices, read v0, e0, v1, e1, ..., v_{n-1}."""
+    seq = []
+    for i in range(n):
+        seq.append(coloring[vertex(i)])
+        if i < n - 1:
+            seq.append(coloring[edge(i)])
+    return seq
 
 
 def _brute_square(seq):
@@ -175,6 +184,16 @@ def test_must_contain_and_has_square_through():
         find_violating_path(g, coloring, Regime.VERTEX, must_contain=edge(9))
 
 
+def test_closed_walks_are_not_squares():
+    # u v w u v w spells 1 2 3 1 2 3 around either triangle but repeats
+    # its elements; the second triangle keeps the word's group alive
+    g = from_standard(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    coloring = _vcolor(1, 2, 3, 1, 2, 3)
+    assert is_valid(g, coloring, Regime.VERTEX)
+    for x in relevant_elements(g, Regime.VERTEX):
+        assert not has_square_through(g, coloring, Regime.VERTEX, x)
+
+
 def test_partial_colorings_searched_on_colored_part_only():
     g = path_graph(4)
     # v3 uncolored: the 1,2,1,2 square cannot be reported
@@ -215,7 +234,7 @@ def test_weak_total_on_paths_equals_interleaved_word():
         n = rnd.randint(2, 6)
         g = path_graph(n)
         coloring = {x: rnd.randrange(4) for x in relevant_elements(g, Regime.WEAK_TOTAL)}
-        word = interleaved_sequence(g, coloring, n)
+        word = interleaved_sequence(coloring, n)
         assert is_valid(g, coloring, Regime.WEAK_TOTAL) == (find_square(word) is None)
 
 
@@ -227,7 +246,7 @@ def test_strong_total_on_paths_equals_three_words():
         coloring = {x: rnd.randrange(4) for x in relevant_elements(g, Regime.STRONG_TOTAL)}
         vseq = [coloring[vertex(i)] for i in range(n)]
         eseq = [coloring[edge(i)] for i in range(n - 1)]
-        word = interleaved_sequence(g, coloring, n)
+        word = interleaved_sequence(coloring, n)
         expected = all(find_square(s) is None for s in (vseq, eseq, word))
         assert is_valid(g, coloring, Regime.STRONG_TOTAL) == expected
 

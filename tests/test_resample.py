@@ -1,10 +1,13 @@
 """Randomized colorer: determinism, resampling semantics, success profiles."""
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from thuecolor.bounds import ceil_snapped, eval_bound
 from thuecolor.counting import ListAssignment
-from thuecolor.graphs import path_graph, vertex
+from thuecolor.graphs import cycle_graph, path_graph, vertex
 from thuecolor.growth import claim_family
 from thuecolor.repetition import Regime, is_valid
 from thuecolor.resample import (
@@ -67,6 +70,54 @@ def test_only_second_half_is_redrawn():
     assert run.coloring[vertex(1)] == 4
     assert run.coloring[vertex(2)] == 2
     assert run.coloring[vertex(3)] == 3
+
+
+def _digest(coloring):
+    rows = sorted([x.kind, x.index, c] for x, c in coloring.items())
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+
+
+def _cubic(n, seed):
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    return RandomGraphSpec("regular", n, 3).sample(rng)
+
+
+GOLDEN_GRAPHS = {
+    "P100": (lambda: path_graph(100), 4, Regime.VERTEX),
+    "C60": (lambda: cycle_graph(60), 8, Regime.WEAK_TOTAL),
+    "cubic26": (lambda: _cubic(26, 26), 9, Regime.VERTEX),
+}
+
+
+@pytest.mark.parametrize(
+    "name, seed, steps, digest",
+    [
+        ("P100", 0, 71, "92c949c46852e39e"),
+        ("P100", 1, 86, "38a8d549f58e670e"),
+        ("P100", 2, 72, "8dc8b892165ff452"),
+        ("C60", 0, 20, "cf61fac1150d570f"),
+        ("C60", 1, 25, "8a9307927fb3ae93"),
+        ("C60", 2, 19, "a6cf864ca955924d"),
+        ("cubic26", 0, 6, "5887a8571cf0f7ba"),
+        ("cubic26", 1, 21, "a948d33d08d1a651"),
+        ("cubic26", 2, 6, "a2bb79ff954288ec"),
+    ],
+)
+def test_golden_trajectories(name, seed, steps, digest):
+    # every step redraws the square the search returns, so these pin the
+    # search's tie-break (shortest half, then kind, then sequence) too
+    build, k, regime = GOLDEN_GRAPHS[name]
+    g = build()
+    run = resample_color(g, ListAssignment.uniform(g, k), regime, seed, max_steps=100_000)
+    assert run.outcome == "success"
+    assert (run.steps_used, _digest(run.coloring)) == (steps, digest)
+
+
+def test_large_cubic_graph_succeeds():
+    g = _cubic(200, 200)
+    run = resample_color(g, ListAssignment.uniform(g, 9), Regime.VERTEX, seed=0, max_steps=10_000)
+    assert run.outcome == "success"
+    assert is_valid(g, run.coloring, Regime.VERTEX)
 
 
 def test_zero_step_budget():
