@@ -83,11 +83,10 @@ class DominanceRecord:
 def path_dominance_records(
     name: str, g: GeneralizedGraph, max_half: int = 4
 ) -> list[DominanceRecord]:
-    """Compare enumerated path counts through every element to the bounds.
+    """Compare the path counts through every element to the bounds.
 
-    Counts come from one tally sweep per kind and length, which agrees
-    with per-element enumeration but avoids re-walking the graph for
-    every anchor.
+    Counts come from one tally per kind and length, which agrees with
+    per-element enumeration but enumerates no path.
     """
     delta = g.max_degree
     if delta < 1:

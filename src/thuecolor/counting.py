@@ -30,6 +30,7 @@ instances.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -156,6 +157,11 @@ def coloring_to_json(coloring: Mapping[ElementId, Color]) -> list[dict]:
 # compiled backtracking
 # ---------------------------------------------------------------------------
 
+# The counter and the enumerator recurse once per element to color; this
+# many frames of the interpreter's recursion limit are left to their callers.
+_CALLER_FRAMES = 100
+
+
 @dataclass
 class _Compiled:
     order: list[ElementId]
@@ -180,6 +186,12 @@ def _compile(
         elems = list(order)
         if len(elems) != len(set(elems)) or set(elems) != set(relevant):
             raise ValueError("order must list each relevant element exactly once")
+    depth_limit = sys.getrecursionlimit() - _CALLER_FRAMES
+    if len(elems) > depth_limit:
+        raise ValueError(
+            f"{len(elems)} elements to color exceed the counter's depth limit of "
+            f"{depth_limit} (the recursion limit less {_CALLER_FRAMES} frames)"
+        )
     pos = {x: d for d, x in enumerate(elems)}
     palettes = [tuple(sorted(lists.colors(x))) for x in elems]
     partners: list[dict[int, None]] = [dict() for _ in elems]

@@ -18,9 +18,10 @@ lexicographically smaller element sequence.
 
 Every path enumeration in the package goes through one generator,
 ``walk``: all paths of a kind and length, or those through one element
-(``through``), over a subset of elements (``allowed``).  The square
-search of ``repetition`` grows paths by color word instead and does not
-enumerate them.
+(``through``), over a subset of elements (``allowed``).  Two searches
+do not enumerate paths: ``count_paths_containing`` counts the paths
+through every element from directed subtree counts, and the square
+search of ``repetition`` grows paths by color word.
 """
 from __future__ import annotations
 
@@ -290,39 +291,40 @@ def walk(
         domain = domain & frozenset(allowed)
     if length > len(domain):
         return
-    nbrs = g._neighbor_table(kind)
-    seq: list = [None] * length
-    used: set[ElementId] = set()
-
-    def fill(plan: list[tuple[int, int]], t: int) -> Iterator[tuple[ElementId, ...]]:
-        if t == len(plan):
-            if seq[0] <= seq[-1]:
-                yield tuple(seq)
-            return
-        p, anchor = plan[t]
-        for y in nbrs.get(seq[anchor], ()):
-            if y in used or y not in domain:
-                continue
-            seq[p] = y
-            used.add(y)
-            yield from fill(plan, t + 1)
-            used.remove(y)
-
     if through is None:
         firsts, positions = sorted(domain), (0,)
     elif through in domain:
         firsts, positions = (through,), range(length)
     else:
         return
+    nbrs = g._neighbor_table(kind)
+    seq: list = [None] * length
+    used: set[ElementId] = set()
     for j in positions:
-        # positions after j, then before it, each grown from its placed neighbour
-        plan = [(p, p - 1) for p in range(j + 1, length)]
+        # the first element at j, then the positions after j, then those
+        # before it, each grown from its placed neighbour
+        plan = [(j, None)] + [(p, p - 1) for p in range(j + 1, length)]
         plan += [(p, p + 1) for p in range(j - 1, -1, -1)]
-        for x in firsts:
-            seq[j] = x
-            used.add(x)
-            yield from fill(plan, 0)
-            used.remove(x)
+        # depth-first with one candidate iterator per placed position, so
+        # the length of a path costs no interpreter recursion
+        stack = [iter(firsts)]
+        while stack:
+            t = len(stack) - 1
+            for y in stack[t]:
+                if y not in used and y in domain:
+                    break
+            else:
+                stack.pop()
+                if t:
+                    used.remove(seq[plan[t - 1][0]])
+                continue
+            seq[plan[t][0]] = y
+            if t == length - 1:
+                if seq[0] <= seq[-1]:
+                    yield tuple(seq)
+            else:
+                used.add(y)
+                stack.append(iter(nbrs.get(seq[plan[t + 1][1]], ())))
 
 
 def enumerate_paths_through(
@@ -339,16 +341,78 @@ def count_paths_containing(
 ) -> dict[int, Counter]:
     """Tally how many canonical paths of each length contain each element.
 
-    One sweep per length replaces an element-by-element enumeration;
-    the totals match ``enumerate_paths_through`` exactly.
+    The totals match ``enumerate_paths_through`` exactly, but no path is
+    built: a depth-first search over directed simple paths from every
+    start counts, per prefix, its directed completions, and credits that
+    count to the element the prefix ends with.  A path of L >= 2 elements
+    has distinct ends, so it is exactly two directed sequences, and
+    reversal sends position p to L-1-p.  Hence the paths through x number
+    half the directed sequences' credits over all positions, which equal
+    twice the credits at positions p < L//2 plus, for odd L, those at the
+    middle position L//2.  Only those positions are credited, and the
+    completions of a prefix one element short of L are its unused
+    neighbours, so no full-length path is visited.  Elements on no path
+    get no entry.
     """
+    domain = sorted(g.domain(kind))
+    index = {x: i for i, x in enumerate(domain)}
+    table = g._neighbor_table(kind)
+    nbrs = [tuple(index[y] for y in table.get(x, ())) for x in domain]
     out: dict[int, Counter] = {}
     for length in lengths:
-        tally: Counter = Counter()
-        for seq in walk(g, kind, length):
-            tally.update(seq)
-        out[length] = tally
+        if length < 1:
+            raise ValueError("path length must be positive")
+        if length == 1:
+            out[length] = Counter(domain)
+        elif length > len(domain):
+            out[length] = Counter()
+        else:
+            credit = _directed_credits(nbrs, length)
+            out[length] = Counter({x: c // 2 for x, c in zip(domain, credit) if c})
     return out
+
+
+def _directed_credits(nbrs: list[tuple[int, ...]], length: int) -> list[int]:
+    """Per element index: twice the directed paths of ``length`` elements
+    that hold it at a position p < length//2, plus those that hold it at
+    the middle of an odd length.
+    """
+    half, odd = divmod(length, 2)
+    weight = [2] * half + [odd] + [0] * (length - half - 1)
+    deepest = length - 2  # prefixes ending here count their unused neighbours
+    if deepest == 0:
+        return [2 * len(nb) for nb in nbrs]
+    credit = [0] * len(nbrs)
+    used = [False] * len(nbrs)
+    for s, nb in enumerate(nbrs):
+        used[s] = True
+        path, stack, completions = [s], [iter(nb)], [0]
+        while stack:
+            for y in stack[-1]:
+                if used[y]:
+                    continue
+                if len(path) == deepest:
+                    c = 0
+                    for z in nbrs[y]:
+                        if not used[z]:
+                            c += 1
+                    credit[y] += weight[deepest] * c
+                    completions[-1] += c
+                    continue
+                used[y] = True
+                path.append(y)
+                stack.append(iter(nbrs[y]))
+                completions.append(0)
+                break
+            else:
+                x = path.pop()
+                used[x] = False
+                stack.pop()
+                c = completions.pop()
+                credit[x] += weight[len(path)] * c
+                if completions:
+                    completions[-1] += c
+    return credit
 
 
 def count_paths_bound(

@@ -1,4 +1,5 @@
 """CLI behavior: exit codes, JSON payloads, deterministic output."""
+import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import thuecolor.cli
 import thuecolor.repetition
 from thuecolor.cli import run
 from thuecolor.counting import coloring_to_json, lists_to_json, ListAssignment
-from thuecolor.graphs import graph_to_json, path_graph, complete_graph, vertex
+from thuecolor.graphs import complete_graph, from_standard, graph_to_json, path_graph, vertex
 from thuecolor.repetition import Regime, find_violating_path
 
 
@@ -25,6 +26,15 @@ def write_graph(tmp_path, g, name="g.json"):
     path = tmp_path / name
     path.write_text(json.dumps(graph_to_json(g)))
     return str(path)
+
+
+def run_module(*argv):
+    """``python -m thuecolor.cli`` in a fresh interpreter, on this checkout's package."""
+    src = os.path.dirname(os.path.dirname(thuecolor.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "thuecolor.cli", *argv],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
 
 
 def test_verify_sequence_clean(capsys):
@@ -96,6 +106,16 @@ def test_count_flag_conflicts(capsys, tmp_path):
     assert "unknown regime" in err
 
 
+def test_count_deeper_than_the_recursion_limit_exits_two(capsys, tmp_path):
+    # 1,100 isolated vertices have one coloring from one color, but the
+    # counter would recurse once per vertex, past the interpreter's limit
+    gpath = write_graph(tmp_path, from_standard(1100, []))
+    code, out, err = invoke(capsys, "count", gpath, "--regime", "vertex", "--uniform", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: 1100 elements to color exceed the counter's depth limit")
+
+
 def test_violations_subcommand(capsys, tmp_path):
     gpath = write_graph(tmp_path, path_graph(2))
     code, out, _ = invoke(
@@ -156,14 +176,17 @@ def test_paths_subcommand(capsys, tmp_path):
 def test_paths_longer_than_the_graph_are_none(tmp_path):
     # a path cannot outgrow the element set, whatever --length asks for
     gpath = write_graph(tmp_path, path_graph(3))
-    done = subprocess.run(
-        [sys.executable, "-m", "thuecolor.cli", "paths", gpath, "--through", "v:0",
-         "--kind", "vertex", "--length", "100000"],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(thuecolor.__file__))},
-    )
+    done = run_module("paths", gpath, "--through", "v:0", "--kind", "vertex", "--length", "100000")
     assert done.returncode == 0
     assert json.loads(done.stdout) == {"bound": 100000, "count": 0, "holds": True}
+
+
+def test_paths_longer_than_the_recursion_limit(tmp_path):
+    # the walker keeps its own stack, so P1100 yields its one full-length path
+    gpath = write_graph(tmp_path, path_graph(1100))
+    done = run_module("paths", gpath, "--through", "v:0", "--kind", "vertex", "--length", "1100")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"bound": 1100, "count": 1, "holds": True}
 
 
 def test_paths_counterexample_exits_one(capsys, tmp_path):
@@ -304,6 +327,24 @@ def test_corpus_determinism_across_jobs(capsys):
     assert (code1, out1) == (code2, out2)
 
 
+# sha256 of the stdout of `thuecolor corpus`; both runs exit 1 on the
+# criterion-6 edge-path violations.  Making edge paths vertex-simple
+# (ROADMAP item 3) changes these bytes on purpose and re-pins them.
+CORPUS_STDOUT_SHA256 = {
+    (): "e6aeef0e4d79309452de1dd945ed6d27fff022c08c938ebeb8537d41dbe7881b",
+    ("--max-half", "2"): "7c08be3d21d693d973a1028abafd070c09c09520b65a3e78f52d3866704f6e2d",
+}
+
+
+@pytest.mark.parametrize(
+    "options", list(CORPUS_STDOUT_SHA256), ids=lambda o: " ".join(o) or "defaults"
+)
+def test_corpus_bytes_are_pinned(capsys, options):
+    code, out, _ = invoke(capsys, "corpus", *options)
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == CORPUS_STDOUT_SHA256[options]
+
+
 def test_parse_error_reporting(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{\n!finis\n}")
@@ -382,11 +423,7 @@ def test_bool_is_not_an_integer(capsys, tmp_path, option, content):
 
 
 def test_module_entry_point():
-    src = os.path.dirname(os.path.dirname(thuecolor.__file__))
-    done = subprocess.run(
-        [sys.executable, "-m", "thuecolor.cli", "bounds", "--name", "weak_total", "--delta", "7"],
-        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
-    )
+    done = run_module("bounds", "--name", "weak_total", "--delta", "7")
     assert done.returncode == 0
     assert json.loads(done.stdout) == {"delta": 7, "name": "weak_total", "value": 42}
 

@@ -1,6 +1,7 @@
 """Exact counting of square-free list colorings and the deletion identity."""
 import math
 import random
+import sys
 
 import pytest
 
@@ -26,6 +27,7 @@ from thuecolor.graphs import (
     path_graph,
     vertex,
 )
+from thuecolor.growth import check_growth, claim_family
 from thuecolor.repetition import Regime, has_square_through, is_valid, relevant_elements
 
 
@@ -179,6 +181,28 @@ def test_empty_graph_and_empty_lists():
     with pytest.raises(ValueError):
         # no list at all for a relevant element
         count_colorings(g1, ListAssignment.from_map({}), Regime.VERTEX)
+
+
+def test_orders_deeper_than_the_recursion_limit_are_rejected(monkeypatch):
+    # the check reads the interpreter's limit; 150 leaves a depth of 50
+    monkeypatch.setattr(sys, "getrecursionlimit", lambda: 150)
+    deepest = from_standard(50, [])
+    lists = ListAssignment.uniform(deepest, 1)
+    assert count_colorings(deepest, lists, Regime.VERTEX) == 1
+    assert len(list(enumerate_colorings(deepest, lists, Regime.VERTEX))) == 1
+    g = from_standard(51, [])
+    one = ListAssignment.uniform(g, 1)
+    g52 = from_standard(52, [])  # its violations at v51 enumerate the colorings of g
+    calls = [
+        lambda: count_colorings(g, one, Regime.VERTEX),
+        lambda: list(enumerate_colorings(g, one, Regime.VERTEX)),
+        lambda: count_violations(g52, ListAssignment.uniform(g52, 1), Regime.VERTEX, vertex(51)),
+        # the path claim needs four colors
+        lambda: check_growth(g, ListAssignment.uniform(g, 4), claim_family("path").at(2), vertex(0)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="51 elements to color exceed the counter's depth limit of 50"):
+            call()
 
 
 def test_enumerate_colorings():

@@ -1,6 +1,7 @@
 """Generalized graphs: construction, deletion, path enumeration, bounds."""
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -162,18 +163,6 @@ def test_paths_are_undirected_objects():
     assert p == q
 
 
-def test_count_paths_containing_matches_enumeration():
-    rnd = random.Random(5150)
-    graphs = [complete_graph(4), path_graph(5)] + [_rand_graph(rnd, 6) for _ in range(6)]
-    for g in graphs:
-        for kind in PathKind:
-            tally = count_paths_containing(g, kind, (2, 4, 6))
-            for x in sorted(g.domain(kind)):
-                for length in (2, 4, 6):
-                    direct = len(enumerate_paths_through(g, x, kind, length))
-                    assert tally[length].get(x, 0) == direct
-
-
 WALK_GRAPHS = {
     "K5": complete_graph(5),
     "petersen": petersen_graph(),
@@ -202,6 +191,33 @@ def test_walk_through_matches_filtered_full_walk(name, kind):
             seqs = list(walk(g, kind, length, through=x))
             assert len(seqs) == len(set(seqs))
             assert set(seqs) == {s for s in full if x in s}
+
+
+def test_count_paths_containing_matches_enumeration():
+    """The counting tally against a tally over ``walk``.
+
+    Lengths 1-9 take in odd lengths, whose middle position is credited
+    once, and lengths beyond the domain, which have no paths.
+    """
+    rnd = random.Random(5150)
+    graphs = [complete_graph(4), path_graph(5)] + [_rand_graph(rnd, 6) for _ in range(6)]
+    graphs += WALK_GRAPHS.values()
+    lengths = range(1, 10)
+    for g in graphs:
+        for kind in PathKind:
+            tally = count_paths_containing(g, kind, lengths)
+            assert list(tally) == list(lengths)
+            for length in lengths:
+                expected = Counter()
+                for seq in walk(g, kind, length):
+                    expected.update(seq)
+                assert tally[length] == expected, (kind, length)
+                # Counter equality ignores zeros: an element on no path has no entry
+                assert 0 not in tally[length].values()
+    # the whole of P1100 is its one path of 1100 vertices
+    g = path_graph(1100)
+    tally = count_paths_containing(g, PathKind.VERTEX, [1100])[1100]
+    assert tally == Counter(g.vertices) and set(tally.values()) == {1}
 
 
 # each regime is checked once, under the last of its path kinds
