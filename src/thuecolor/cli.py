@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 
 from . import bounds as bounds_mod
@@ -29,6 +30,7 @@ from .graphs import (
     edge,
     enumerate_paths_through,
     graph_from_json,
+    is_int,
     PathKind,
     vertex,
 )
@@ -95,8 +97,11 @@ def _parse_regime(text: str) -> Regime:
 
 def _parse_element(text: str) -> ElementId:
     kind, sep, idx = text.partition(":")
-    if sep and kind in ("v", "e") and idx.lstrip("-").isdigit():
-        return vertex(int(idx)) if kind == "v" else edge(int(idx))
+    if sep and kind in ("v", "e") and re.fullmatch("-?[0-9]+", idx):
+        try:
+            return vertex(int(idx)) if kind == "v" else edge(int(idx))
+        except ValueError:  # more digits than int() converts
+            pass
     raise UsageError(f"malformed element {text!r}; use v:<index> or e:<index>")
 
 
@@ -106,7 +111,7 @@ def _parse_sequence(text: str):
     except json.JSONDecodeError:
         return text  # plain ASCII word, bytes as colors
     if isinstance(parsed, list):
-        if any(not isinstance(c, int) for c in parsed):
+        if not all(map(is_int, parsed)):
             raise UsageError("sequence array must contain only integers")
         return parsed
     if isinstance(parsed, str):

@@ -200,7 +200,9 @@ def _compile(
         domain = g.domain(kind)
         for length in range(2, len(domain) + 1, 2):
             half = length // 2
+            found = False
             for seq in walk(g, kind, length):
+                found = True
                 idx = [pos[x] for x in seq]
                 last = max(idx)
                 if half == 1:
@@ -211,6 +213,9 @@ def _compile(
                         key=lambda ab: -max(ab),
                     )
                     longer[last].setdefault(tuple(pairs))
+            if not found:
+                # a path of L + 2 elements holds one of L, so none is longer
+                break
     return _Compiled(
         order=elems,
         palettes=palettes,
@@ -367,32 +372,19 @@ def count_violations(
     """Count colorings valid without ``x`` that every color of ``x`` breaks.
 
     Concretely: pairs (coloring of g minus x, color for x) whose
-    extension has a square through x.  Together with the counts this
-    gives the deletion identity
+    extension has a square through x, which is the last term of the
+    deletion identity
     ``count(g) = |lists(x)| * count(g minus x) - count_violations``.
+    It is computed from that identity by two counts.  This is exact
+    because ``delete`` keeps every relation pair between survivors, so
+    the paths of g minus x are exactly the paths of g that avoid x.  A
+    coloring of g is therefore valid exactly when it extends a valid
+    coloring of g minus x by a color that completes no square through
+    x, and the extensions that do complete one number the difference.
     """
     if x not in g:
         raise ValueError(f"element not in graph: {x}")
     if x.kind not in regime.element_kinds:
         return 0
-    g_minus = delete(g, {x})
-    palette = sorted(lists.colors(x))
-    # candidate squares through x depend only on the graph, so walk them
-    # once and reduce each extension test to echo comparisons
-    relevant = frozenset(relevant_elements(g, regime))
-    echo_pairs: list[tuple[tuple[ElementId, ElementId], ...]] = []
-    for kind in regime.kinds_through(x.kind):
-        for half in range(1, len(g.domain(kind) & relevant) // 2 + 1):
-            for seq in walk(g, kind, 2 * half, through=x, allowed=relevant):
-                echo_pairs.append(tuple(zip(seq[:half], seq[half:])))
-    bad = 0
-    for coloring in enumerate_colorings(g_minus, lists, regime):
-        for c in palette:
-            coloring[x] = c
-            if any(
-                all(coloring[a] == coloring[b] for a, b in pairs)
-                for pairs in echo_pairs
-            ):
-                bad += 1
-        del coloring[x]
-    return bad
+    without = count_colorings(delete(g, {x}), lists, regime)
+    return len(lists.colors(x)) * without - count_colorings(g, lists, regime)

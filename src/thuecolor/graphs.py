@@ -18,10 +18,10 @@ lexicographically smaller element sequence.
 
 Every path enumeration in the package goes through one generator,
 ``walk``: all paths of a kind and length, or those through one element
-(``through``), over a subset of elements (``allowed``).  Two searches
-do not enumerate paths: ``count_paths_containing`` counts the paths
-through every element from directed subtree counts, and the square
-search of ``repetition`` grows paths by color word.
+(``through``).  Two searches do not enumerate paths:
+``count_paths_containing`` counts the paths through every element from
+directed subtree counts, and the square search of ``repetition`` grows
+paths by color word.
 """
 from __future__ import annotations
 
@@ -273,7 +273,6 @@ def walk(
     length: int,
     *,
     through: ElementId | None = None,
-    allowed: Iterable[ElementId] | None = None,
 ) -> Iterator[tuple[ElementId, ...]]:
     """Each simple path of ``kind`` with ``length`` elements, once, canonically.
 
@@ -282,13 +281,10 @@ def walk(
     every element in sorted order; with ``through=x`` it places x at each
     position in turn, grows the part after x, then the reversed part
     before x.  Neighbours are tried in ``g.neighbors`` order.
-    ``allowed`` restricts the elements a path may use.
     """
     if length < 1:
         raise ValueError("path length must be positive")
     domain = g.domain(kind)
-    if allowed is not None:
-        domain = domain & frozenset(allowed)
     if length > len(domain):
         return
     if through is None:
@@ -311,7 +307,7 @@ def walk(
         while stack:
             t = len(stack) - 1
             for y in stack[t]:
-                if y not in used and y in domain:
+                if y not in used:
                     break
             else:
                 stack.pop()

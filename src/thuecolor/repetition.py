@@ -76,11 +76,6 @@ class Regime(Enum):
             return (ElementKind.EDGE,)
         return (ElementKind.VERTEX, ElementKind.EDGE)
 
-    def kinds_through(self, x_kind: ElementKind) -> tuple[PathKind, ...]:
-        """Path kinds that can pass through an element of the given kind."""
-        mine = PathKind.VERTEX if x_kind is ElementKind.VERTEX else PathKind.EDGE
-        return tuple(k for k in self.path_kinds if k in (mine, PathKind.MIXED))
-
 
 def relevant_elements(g: GeneralizedGraph, regime: Regime) -> list[ElementId]:
     """Colored elements of the regime, vertices before edges, by index."""

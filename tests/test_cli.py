@@ -422,6 +422,33 @@ def test_bool_is_not_an_integer(capsys, tmp_path, option, content):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "command, argv",
+    [
+        ("paths", ["--through", "v:--1", "--kind", "vertex", "--length", "2"]),
+        ("violations", ["--regime", "vertex", "--uniform", "3", "--element", "v:\u00b2"]),
+        ("paths", ["--through", "e:" + "1" * 5000, "--kind", "edge", "--length", "2"]),
+    ],
+)
+def test_malformed_element_index_exits_two(capsys, tmp_path, command, argv):
+    # "--1" and a superscript two are not ASCII integers, though int() is
+    # handed them if the check only strips signs or asks str.isdigit; int()
+    # refuses 5,000 digits
+    gpath = write_graph(tmp_path, path_graph(3))
+    code, out, err = invoke(capsys, command, gpath, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed element")
+
+
+def test_verify_sequence_rejects_booleans(capsys):
+    # JSON true parses as the int 1, which would make [1, true] a square
+    code, out, err = invoke(capsys, "verify", "--sequence", "[1, true]")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_module_entry_point():
     done = run_module("bounds", "--name", "weak_total", "--delta", "7")
     assert done.returncode == 0

@@ -1,10 +1,12 @@
 """Exact counting of square-free list colorings and the deletion identity."""
+import itertools
 import math
 import random
 import sys
 
 import pytest
 
+import thuecolor.counting
 from thuecolor.counting import (
     ListAssignment,
     coloring_from_json,
@@ -26,6 +28,7 @@ from thuecolor.graphs import (
     from_standard,
     path_graph,
     vertex,
+    walk,
 )
 from thuecolor.growth import check_growth, claim_family
 from thuecolor.repetition import Regime, has_square_through, is_valid, relevant_elements
@@ -134,6 +137,39 @@ def test_branch_sum_identity():
         assert split == total
 
 
+def _reference_violations(g, lists, regime, x):
+    """Enumerate every valid coloring of g minus x and test each color of x
+    against the echo pairs of every square candidate through x."""
+    if x.kind not in regime.element_kinds:
+        return 0
+    echo_pairs = []
+    for kind in regime.path_kinds:  # a kind whose domain misses x walks nothing
+        for half in range(1, len(g.domain(kind)) // 2 + 1):
+            for seq in walk(g, kind, 2 * half, through=x):
+                echo_pairs.append(tuple(zip(seq[:half], seq[half:])))
+    bad = 0
+    for coloring in enumerate_colorings(delete(g, {x}), lists, regime):
+        for c in sorted(lists.colors(x)):
+            coloring[x] = c
+            if any(all(coloring[a] == coloring[b] for a, b in pairs) for pairs in echo_pairs):
+                bad += 1
+    return bad
+
+
+def _brute_violations(g, lists, regime, x):
+    """Filter every assignment of g minus x, and then every extension by a
+    color of x, through the square search; neither counts nor walks."""
+    g_minus = delete(g, {x})
+    elems = relevant_elements(g_minus, regime)
+    bad = 0
+    for combo in itertools.product(*(sorted(lists.colors(y)) for y in elems)):
+        coloring = dict(zip(elems, combo))
+        if is_valid(g_minus, coloring, regime):
+            for c in sorted(lists.colors(x)):
+                bad += not is_valid(g, {**coloring, x: c}, regime)
+    return bad
+
+
 def test_deletion_identity_on_paths():
     # count(P_{n+1}) = 4 * count(P_n) - violations at the appended vertex
     for n in range(1, 6):
@@ -144,6 +180,7 @@ def test_deletion_identity_on_paths():
         c_without = count_colorings(delete(g, {x}), L, Regime.VERTEX)
         bad = count_violations(g, L, Regime.VERTEX, x)
         assert c_with == 4 * c_without - bad
+        assert bad == _reference_violations(g, L, Regime.VERTEX, x)
 
 
 def test_deletion_identity_random():
@@ -161,6 +198,22 @@ def test_deletion_identity_random():
         c_without = count_colorings(delete(g, {x}), L, regime)
         bad = count_violations(g, L, regime, x)
         assert c_with == q * c_without - bad
+        assert bad == _reference_violations(g, L, regime, x)
+
+
+def test_violations_match_brute_force():
+    rnd = random.Random(4242)
+    checked = 0
+    while checked < 40:
+        g = _rand_graph(rnd, n_max=4)
+        regime = rnd.choice(list(Regime))
+        L = _shared_lists(rnd, g, list(range(4)))
+        elems = relevant_elements(g, regime)
+        if math.prod(len(L.colors(y)) for y in elems) > 20000:
+            continue
+        x = rnd.choice(elems)
+        assert count_violations(g, L, regime, x) == _brute_violations(g, L, regime, x)
+        checked += 1
 
 
 def test_count_violations_frozen_and_irrelevant():
@@ -171,6 +224,26 @@ def test_count_violations_frozen_and_irrelevant():
     assert count_violations(g, L, Regime.VERTEX, edge(0)) == 0
     with pytest.raises(ValueError):
         count_violations(g, L, Regime.VERTEX, vertex(5))
+
+
+def test_compile_stops_at_the_first_length_without_a_path(monkeypatch):
+    # a path of L + 2 elements holds one of L, so on isolated vertices the
+    # walk at length 2 is the only one
+    lengths = []
+    real_walk = thuecolor.counting.walk
+
+    def counted(g, kind, length, **kw):
+        lengths.append(length)
+        return real_walk(g, kind, length, **kw)
+
+    monkeypatch.setattr(thuecolor.counting, "walk", counted)
+    g = from_standard(200, [])
+    one = ListAssignment.uniform(g, 1)
+    assert count_colorings(g, one, Regime.VERTEX) == 1
+    assert lengths == [2]
+    lengths.clear()
+    assert count_violations(g, one, Regime.VERTEX, vertex(199)) == 0
+    assert lengths == [2, 2]
 
 
 def test_empty_graph_and_empty_lists():

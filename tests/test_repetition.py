@@ -107,11 +107,6 @@ def test_regime_kinds():
     assert Regime.VERTEX.element_kinds == (ElementKind.VERTEX,)
     assert Regime.EDGE.element_kinds == (ElementKind.EDGE,)
     assert Regime.STRONG_TOTAL.element_kinds == (ElementKind.VERTEX, ElementKind.EDGE)
-    assert Regime.STRONG_TOTAL.kinds_through(ElementKind.EDGE) == (
-        PathKind.EDGE,
-        PathKind.MIXED,
-    )
-    assert Regime.WEAK_TOTAL.kinds_through(ElementKind.VERTEX) == (PathKind.MIXED,)
 
 
 def test_relevant_elements_order():
