@@ -204,8 +204,8 @@ def optimize(series: SeriesBound, tol: float = 1e-9, scan_check: bool = False
     sits at the boundary and the result is flagged non-interior.
     ``scan_check`` adds a 1000-point unimodality scan over the bracket.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
     lo = series.domain_low
     f = series.objective
 

@@ -2,8 +2,10 @@
 
 Outputs one JSON document on stdout (canonical key order; --pretty
 indents).  Exit codes: 0 on success, 1 when a property violation was
-found (a square, a failed bound, a failed certification), 2 on usage or
-parse errors.
+found (a square, a failed bound, a failed certification), 2 for any
+input the program cannot accept (usage errors, parse errors and
+out-of-range values), which ``run`` decides in one place from the
+``ValueError`` or ``OverflowError`` that such input raises.
 """
 from __future__ import annotations
 
@@ -38,10 +40,6 @@ from .growth import check_growth, claim_family
 from .repetition import Regime, find_square, find_violating_path, require_total
 from .resample import resample_color
 
-class UsageError(Exception):
-    pass
-
-
 class PropertyViolation(Exception):
     """Raised with the payload when the checked property fails."""
 
@@ -55,42 +53,46 @@ def _load_json(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
-        raise UsageError(f"no such file: {path}") from None
+        raise ValueError(f"no such file: {path}") from None
     except OSError as err:
-        raise UsageError(f"cannot read {path}: {err.strerror}") from None
+        raise ValueError(f"cannot read {path}: {err.strerror}") from None
     except json.JSONDecodeError as err:
-        raise UsageError(
+        raise ValueError(
             f"parse error in {path} at line {err.lineno} column {err.colno}: {err.msg}"
         ) from None
+    except UnicodeDecodeError as err:
+        raise ValueError(f"cannot read {path}: not UTF-8 text ({err.reason})") from None
 
 
 def _load_graph(path: str) -> GeneralizedGraph:
+    obj = _load_json(path)
     try:
-        return graph_from_json(_load_json(path))
+        return graph_from_json(obj)
     except ValueError as err:
-        raise UsageError(f"bad graph in {path}: {err}") from None
+        raise ValueError(f"bad graph in {path}: {err}") from None
 
 
 def _load_lists(args, g: GeneralizedGraph) -> ListAssignment:
     if getattr(args, "uniform", None) is not None and getattr(args, "lists", None):
-        raise UsageError("give either --uniform or --lists, not both")
+        raise ValueError("give either --uniform or --lists, not both")
     if getattr(args, "uniform", None) is not None:
         if args.uniform < 0:
-            raise UsageError("--uniform must be nonnegative")
+            raise ValueError("--uniform must be nonnegative")
         return ListAssignment.uniform(g, args.uniform)
     if getattr(args, "lists", None):
+        obj = _load_json(args.lists)
         try:
-            return lists_from_json(_load_json(args.lists), g)
+            return lists_from_json(obj, g)
         except ValueError as err:
-            raise UsageError(f"bad list assignment in {args.lists}: {err}") from None
-    raise UsageError("a list assignment is required (--uniform or --lists)")
+            raise ValueError(f"bad list assignment in {args.lists}: {err}") from None
+    raise ValueError("a list assignment is required (--uniform or --lists)")
 
 
 def _parse_regime(text: str) -> Regime:
     try:
         return Regime(text)
     except ValueError:
-        raise UsageError(
+        raise ValueError(
             f"unknown regime {text!r}; use vertex, edge, weak-total or strong-total"
         ) from None
 
@@ -102,7 +104,7 @@ def _parse_element(text: str) -> ElementId:
             return vertex(int(idx)) if kind == "v" else edge(int(idx))
         except ValueError:  # more digits than int() converts
             pass
-    raise UsageError(f"malformed element {text!r}; use v:<index> or e:<index>")
+    raise ValueError(f"malformed element {text!r}; use v:<index> or e:<index>")
 
 
 def _parse_sequence(text: str):
@@ -112,11 +114,11 @@ def _parse_sequence(text: str):
         return text  # plain ASCII word, bytes as colors
     if isinstance(parsed, list):
         if not all(map(is_int, parsed)):
-            raise UsageError("sequence array must contain only integers")
+            raise ValueError("sequence array must contain only integers")
         return parsed
     if isinstance(parsed, str):
         return parsed
-    raise UsageError("sequence must be a JSON integer array or a string")
+    raise ValueError("sequence must be a JSON integer array or a string")
 
 
 def _path_json(path) -> dict:
@@ -141,17 +143,15 @@ def _cmd_verify(args) -> dict:
             raise PropertyViolation(payload)
         return payload
     if args.graph is None or args.coloring is None:
-        raise UsageError("verify needs either --sequence or a graph with --coloring")
+        raise ValueError("verify needs either --sequence or a graph with --coloring")
     g = _load_graph(args.graph)
+    obj = _load_json(args.coloring)
     try:
-        coloring = coloring_from_json(_load_json(args.coloring))
+        coloring = coloring_from_json(obj)
     except ValueError as err:
-        raise UsageError(f"bad coloring in {args.coloring}: {err}") from None
+        raise ValueError(f"bad coloring in {args.coloring}: {err}") from None
     regime = _parse_regime(args.regime)
-    try:
-        require_total(g, coloring, regime)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    require_total(g, coloring, regime)
     violation = find_violating_path(g, coloring, regime)
     if violation is not None:
         raise PropertyViolation({"valid": False, "violating_path": _path_json(violation)})
@@ -162,10 +162,7 @@ def _cmd_count(args) -> dict:
     g = _load_graph(args.graph)
     lists = _load_lists(args, g)
     regime = _parse_regime(args.regime)
-    try:
-        n = count_colorings(g, lists, regime)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    n = count_colorings(g, lists, regime)
     return {"count": str(n)}
 
 
@@ -174,10 +171,7 @@ def _cmd_violations(args) -> dict:
     lists = _load_lists(args, g)
     regime = _parse_regime(args.regime)
     x = _parse_element(args.element)
-    try:
-        n = count_violations(g, lists, regime, x)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    n = count_violations(g, lists, regime, x)
     return {"count": str(n)}
 
 
@@ -185,11 +179,8 @@ def _cmd_ratio(args) -> dict:
     g = _load_graph(args.graph)
     lists = _load_lists(args, g)
     x = _parse_element(args.element)
-    try:
-        claim = claim_family(args.claim).at(args.delta)
-        report = check_growth(g, lists, claim, x)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    claim = claim_family(args.claim).at(args.delta)
+    report = check_growth(g, lists, claim, x)
     payload = {
         "graph": args.graph,
         "element": str(x),
@@ -210,13 +201,10 @@ def _cmd_paths(args) -> dict:
     try:
         kind = PathKind(args.kind)
     except ValueError:
-        raise UsageError(f"unknown path kind {args.kind!r}") from None
+        raise ValueError(f"unknown path kind {args.kind!r}") from None
     if args.length < 1:
-        raise UsageError("--length must be positive")
-    try:
-        paths = enumerate_paths_through(g, x, kind, args.length)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+        raise ValueError("--length must be positive")
+    paths = enumerate_paths_through(g, x, kind, args.length)
     bound = None
     if args.length % 2 == 0 and g.max_degree >= 1:
         try:
@@ -243,7 +231,7 @@ def _cmd_bounds(args) -> dict | None:
     if args.table is not None:
         lo, hi = args.table
         if lo > hi or lo < 1:
-            raise UsageError("--table needs 1 <= MIN <= MAX")
+            raise ValueError("--table needs 1 <= MIN <= MAX")
         writer = csv.writer(sys.stdout, lineterminator="\n")
         names = list(bounds_mod.bound_names())
         writer.writerow(["delta"] + names)
@@ -257,18 +245,15 @@ def _cmd_bounds(args) -> dict | None:
             writer.writerow(row)
         return None
     if args.name is None or args.delta is None:
-        raise UsageError("bounds needs --name with --delta, or --table MIN MAX")
-    try:
-        value = bounds_mod.eval_bound(args.name, args.delta)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+        raise ValueError("bounds needs --name with --delta, or --table MIN MAX")
+    value = bounds_mod.eval_bound(args.name, args.delta)
     return {"name": args.name, "delta": args.delta, "value": value}
 
 
 def _cmd_optimize(args) -> dict:
     preset = bounds_mod.SERIES_PRESETS.get(args.preset)
     if preset is None:
-        raise UsageError(
+        raise ValueError(
             f"unknown preset {args.preset!r}; use path or weak-total"
         )
     result = bounds_mod.optimize(preset, tol=args.tol)
@@ -279,10 +264,7 @@ def _cmd_optimize(args) -> dict:
 
 
 def _cmd_certify(args) -> dict:
-    try:
-        report = bounds_mod.certify_delta_inequalities(args.delta)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    report = bounds_mod.certify_delta_inequalities(args.delta)
     payload = {
         "delta": report.delta,
         "edge_rate": {
@@ -306,15 +288,12 @@ def _cmd_color(args) -> dict:
     g = _load_graph(args.graph)
     if args.colors is not None:
         if args.colors < 0:
-            raise UsageError("--colors must be nonnegative")
+            raise ValueError("--colors must be nonnegative")
         lists = ListAssignment.uniform(g, args.colors)
     else:
         lists = _load_lists(args, g)
     regime = _parse_regime(args.regime)
-    try:
-        run = resample_color(g, lists, regime, args.seed, args.max_steps)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    run = resample_color(g, lists, regime, args.seed, args.max_steps)
     payload: dict = {
         "outcome": run.outcome,
         "steps": run.steps_used,
@@ -458,7 +437,7 @@ def run(argv: list[str] | None = None) -> int:
         return 0 if not exc.code else 2
     try:
         payload = args.func(args)
-    except UsageError as err:
+    except (ValueError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except PropertyViolation as violation:

@@ -88,6 +88,8 @@ def path_dominance_records(
     Counts come from one tally per kind and length, which agrees with
     per-element enumeration but enumerates no path.
     """
+    if max_half < 1:
+        raise ValueError(f"max_half must be at least 1, got {max_half}")
     delta = g.max_degree
     if delta < 1:
         raise ValueError(f"graph {name} has no incidences; bounds need Delta >= 1")

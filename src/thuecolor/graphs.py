@@ -30,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
 class ElementKind(IntEnum):
@@ -163,6 +163,38 @@ def _neighbor_map(
     return {x: tuple(sorted(nbrs)) for x, nbrs in out.items()}
 
 
+def _from_ends(
+    vertices: Iterable[ElementId],
+    ends: Mapping[ElementId, Sequence[int]],
+    extra_vv: Iterable[tuple[ElementId, ElementId]] = (),
+    extra_ee: Iterable[tuple[ElementId, ElementId]] = (),
+) -> GeneralizedGraph:
+    """The graph whose relations are the extra pairs plus those the edge
+    ends imply: an edge is incident to each of its ends, its two ends are
+    vv-adjacent, and edges that share an end are ee-adjacent.  ``ends``
+    maps each edge to the indices of its end vertices.
+    """
+    vv = {_canonical_pair(a, b) for a, b in extra_vv}
+    ee = {_canonical_pair(a, b) for a, b in extra_ee}
+    ve: set[tuple[ElementId, ElementId]] = set()
+    incident: dict[int, list[ElementId]] = {}
+    for e, vs in ends.items():
+        for u in vs:
+            ve.add((vertex(u), e))
+            incident.setdefault(u, []).append(e)
+        if len(vs) == 2:
+            vv.add(_canonical_pair(vertex(vs[0]), vertex(vs[1])))
+    for edges_at_v in incident.values():
+        ee.update(itertools.combinations(sorted(edges_at_v), 2))
+    return GeneralizedGraph(
+        vertices=frozenset(vertices),
+        edges=frozenset(ends),
+        vv_adj=frozenset(vv),
+        ee_adj=frozenset(ee),
+        ve_inc=frozenset(ve),
+    )
+
+
 def from_standard(
     n_vertices: int, edge_list: Iterable[tuple[int, int]]
 ) -> GeneralizedGraph:
@@ -175,11 +207,7 @@ def from_standard(
     """
     if n_vertices < 0:
         raise ValueError("vertex count must be nonnegative")
-    verts = frozenset(vertex(i) for i in range(n_vertices))
-    edge_ids = []
-    vv: set[tuple[ElementId, ElementId]] = set()
-    ve: set[tuple[ElementId, ElementId]] = set()
-    incident: dict[int, list[ElementId]] = {}
+    ends: dict[ElementId, tuple[int, int]] = {}
     seen: set[tuple[int, int]] = set()
     for j, (u, w) in enumerate(edge_list):
         if not (0 <= u < n_vertices and 0 <= w < n_vertices):
@@ -190,24 +218,8 @@ def from_standard(
         if key in seen:
             raise ValueError(f"duplicate edge rejected: ({u}, {w})")
         seen.add(key)
-        e = edge(j)
-        edge_ids.append(e)
-        vv.add(_canonical_pair(vertex(u), vertex(w)))
-        ve.add((vertex(u), e))
-        ve.add((vertex(w), e))
-        incident.setdefault(u, []).append(e)
-        incident.setdefault(w, []).append(e)
-    ee: set[tuple[ElementId, ElementId]] = set()
-    for edges_at_v in incident.values():
-        for e1, e2 in itertools.combinations(sorted(edges_at_v), 2):
-            ee.add((e1, e2))
-    return GeneralizedGraph(
-        vertices=verts,
-        edges=frozenset(edge_ids),
-        vv_adj=frozenset(vv),
-        ee_adj=frozenset(ee),
-        ve_inc=frozenset(ve),
-    )
+        ends[edge(j)] = (u, w)
+    return _from_ends((vertex(i) for i in range(n_vertices)), ends)
 
 
 def delete(g: GeneralizedGraph, removed: Iterable[ElementId]) -> GeneralizedGraph:
@@ -483,37 +495,26 @@ def graph_to_json(g: GeneralizedGraph) -> dict:
     """Canonical JSON object: sorted ids, derived relation pairs omitted.
 
     Incidence is recoverable from the edges' surviving endpoints, so it
-    is not serialized; vv/ee pairs that no shared element explains are
+    is not serialized; vv/ee pairs that the edge ends do not imply are
     kept under ``extra_vv`` / ``extra_ee``.
     """
     ends: dict[ElementId, list[int]] = {e: [] for e in g.edges}
     for v, e in g.ve_inc:
         ends[e].append(v.index)
-    derived_vv = set()
-    for e, vs in ends.items():
-        if len(vs) == 2:
-            a, b = sorted(vs)
-            derived_vv.add((vertex(a), vertex(b)))
-    derived_ee = set()
-    for v in g.vertices:
-        for e1, e2 in itertools.combinations(sorted(g._mixed_nbrs.get(v, ())), 2):
-            derived_ee.add((e1, e2))
+    implied = _from_ends(g.vertices, ends)
     obj: dict = {
         "vertices": sorted(v.index for v in g.vertices),
         "edges": [
             {"id": e.index, "ends": sorted(ends[e])} for e in sorted(g.edges)
         ],
     }
-    extra_vv = sorted(
-        [a.index, b.index] for a, b in g.vv_adj if (a, b) not in derived_vv
-    )
-    extra_ee = sorted(
-        [a.index, b.index] for a, b in g.ee_adj if (a, b) not in derived_ee
-    )
-    if extra_vv:
-        obj["extra_vv"] = extra_vv
-    if extra_ee:
-        obj["extra_ee"] = extra_ee
+    for key, pairs, derived in (
+        ("extra_vv", g.vv_adj, implied.vv_adj),
+        ("extra_ee", g.ee_adj, implied.ee_adj),
+    ):
+        extra = sorted([a.index, b.index] for a, b in pairs - derived)
+        if extra:
+            obj[key] = extra
     return obj
 
 
@@ -540,47 +541,29 @@ def graph_from_json(obj: Mapping) -> GeneralizedGraph:
     if len(set(vert_idx)) != len(vert_idx):
         raise ValueError("duplicate vertex index")
     verts = frozenset(vertex(i) for i in vert_idx)
-    vv: set[tuple[ElementId, ElementId]] = set()
-    ee: set[tuple[ElementId, ElementId]] = set()
-    ve: set[tuple[ElementId, ElementId]] = set()
-    edge_ids: set[ElementId] = set()
-    incident: dict[int, list[ElementId]] = {}
+    ends: dict[ElementId, list[int]] = {}
     for eo in edge_objs:
         if not isinstance(eo, Mapping) or not is_int(eo.get("id")) or "ends" not in eo:
             raise ValueError(f"malformed edge entry: {eo!r}")
         e = edge(eo["id"])
-        if e in edge_ids:
+        if e in ends:
             raise ValueError(f"duplicate edge id {eo['id']}")
-        edge_ids.add(e)
-        ends = _array(eo["ends"], f"ends of edge {eo['id']}", of_ints=True)
-        if len(ends) > 2 or len(set(ends)) != len(ends):
-            raise ValueError(f"edge {eo['id']} has malformed ends {ends!r}")
-        for u in ends:
+        idx = _array(eo["ends"], f"ends of edge {eo['id']}", of_ints=True)
+        if len(idx) > 2 or len(set(idx)) != len(idx):
+            raise ValueError(f"edge {eo['id']} has malformed ends {idx!r}")
+        for u in idx:
             if vertex(u) not in verts:
                 raise ValueError(f"edge {eo['id']} endpoint {u} is not a vertex")
-            ve.add((vertex(u), e))
-            incident.setdefault(u, []).append(e)
-        if len(ends) == 2:
-            vv.add(_canonical_pair(vertex(ends[0]), vertex(ends[1])))
-    for edges_at_v in incident.values():
-        for e1, e2 in itertools.combinations(sorted(edges_at_v), 2):
-            ee.add((e1, e2))
-    for key, pool, store in (
-        ("extra_vv", verts, vv),
-        ("extra_ee", edge_ids, ee),
-    ):
+        ends[e] = idx
+    extras = []
+    for key, pool, mk in (("extra_vv", verts, vertex), ("extra_ee", ends, edge)):
+        pairs = []
         for pair in _array(obj.get(key, []), key):
             if len(_array(pair, f"{key} pair", of_ints=True)) != 2 or pair[0] == pair[1]:
                 raise ValueError(f"malformed {key} pair {pair!r}")
-            mk = vertex if key == "extra_vv" else edge
             a, b = mk(pair[0]), mk(pair[1])
             if a not in pool or b not in pool:
                 raise ValueError(f"{key} pair {pair!r} references a missing element")
-            store.add(_canonical_pair(a, b))
-    return GeneralizedGraph(
-        vertices=verts,
-        edges=frozenset(edge_ids),
-        vv_adj=frozenset(vv),
-        ee_adj=frozenset(ee),
-        ve_inc=frozenset(ve),
-    )
+            pairs.append((a, b))
+        extras.append(pairs)
+    return _from_ends(verts, ends, *extras)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .bounds import CBRT2, CBRT4, _thue_choice_refined, ceil_snapped
+from .bounds import BOUNDS, CBRT2, CBRT4, ceil_snapped
 from .counting import ListAssignment, count_colorings
 from .graphs import ElementId, ElementKind, GeneralizedGraph, delete
 from .repetition import Regime, relevant_elements
@@ -103,7 +103,7 @@ CLAIM_FAMILIES: dict[str, ClaimFamily] = {
             element_kind=ElementKind.VERTEX,
             min_delta=2,
             reference_delta=2,
-            list_size=_thue_choice_refined,
+            list_size=BOUNDS["thue_choice_refined"].evaluate,
             growth=_thue_choice_growth,
         ),
         ClaimFamily(
@@ -112,7 +112,7 @@ CLAIM_FAMILIES: dict[str, ClaimFamily] = {
             element_kind=None,
             min_delta=2,
             reference_delta=2,
-            list_size=lambda d: 6 * d,
+            list_size=BOUNDS["weak_total"].evaluate,
             growth=lambda d: 3.0 * d,
         ),
         # high-degree refinement; counts at Delta >= 300 are far beyond
@@ -123,7 +123,7 @@ CLAIM_FAMILIES: dict[str, ClaimFamily] = {
             element_kind=None,
             min_delta=300,
             reference_delta=300,
-            list_size=lambda d: ceil_snapped(4.25 * d),
+            list_size=BOUNDS["improved_weak_total"].evaluate,
             growth=lambda d: 1.62 * d,
             growth_edge=lambda d: 4.2 * d,
             desk_scale=False,

@@ -357,6 +357,10 @@ def test_parse_error_reporting(capsys, tmp_path):
     )
     assert code == 2
     assert "no such file" in err
+    bad.write_bytes(b"\xff{}")
+    code, _, err = invoke(capsys, "count", str(bad), "--regime", "vertex", "--uniform", "3")
+    assert code == 2
+    assert err.startswith(f"error: cannot read {bad}: not UTF-8 text")
 
 
 @pytest.mark.parametrize("command", ["count", "verify"])
@@ -439,6 +443,27 @@ def test_malformed_element_index_exits_two(capsys, tmp_path, command, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: malformed element")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "path", "--tol", "0"],
+        ["optimize", "path", "--tol", "-1"],
+        ["optimize", "path", "--tol", "nan"],
+        ["optimize", "path", "--tol", "inf"],
+        ["corpus", "--seed", "-1"],
+        ["corpus", "--max-half", "0"],
+        ["certify", "--delta", str(10**400)],
+        ["bounds", "--name", "thue_choice", "--delta", str(10**400)],
+    ],
+    ids=lambda argv: " ".join(argv)[:40],
+)
+def test_out_of_range_values_exit_two(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_verify_sequence_rejects_booleans(capsys):

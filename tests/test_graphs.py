@@ -1,10 +1,12 @@
 """Generalized graphs: construction, deletion, path enumeration, bounds."""
+import hashlib
 import json
 import random
 from collections import Counter
 
 import pytest
 
+from thuecolor.corpus import builtin_corpus
 from thuecolor.graphs import (
     ElementKind,
     GeneralizedGraph,
@@ -323,6 +325,27 @@ def test_json_round_trip_plain_and_deleted():
         h = delete(g, set(rnd.sample(els, rnd.randint(1, len(els) - 1))))
         # deleted graphs need the explicit extra_* relations to survive
         assert graph_from_json(graph_to_json(h)) == h
+
+
+# sha256 of the sorted-key JSON text of graph_to_json over the 25 corpus
+# graphs, each followed by four seeded deletions from it; 57 of the 125
+# objects carry extra_vv and 53 extra_ee.  Any change to the bytes that
+# graph_to_json writes changes it.
+CORPUS_GRAPH_JSON_SHA256 = "e1b37b99de1b81ab769ff33922958874da1d6451cb354a0fd3d83ded5d62d6e0"
+
+
+def test_corpus_graph_json_is_pinned():
+    rnd = random.Random(20240917)
+    objs = []
+    for _, g in builtin_corpus():
+        els = sorted(g.elements)
+        deletions = [delete(g, rnd.sample(els, rnd.randint(1, len(els) - 1))) for _ in range(4)]
+        for h in [g] + deletions:
+            obj = graph_to_json(h)
+            assert graph_from_json(obj) == h
+            objs.append(obj)
+    blob = json.dumps(objs, sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == CORPUS_GRAPH_JSON_SHA256
 
 
 def test_json_is_stable_text():

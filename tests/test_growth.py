@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from thuecolor.bounds import eval_bound
 from thuecolor.counting import ListAssignment, count_colorings
 from thuecolor.graphs import (
     complete_graph,
@@ -50,6 +51,20 @@ def test_family_scaling():
         fam.at(1)
     with pytest.raises(ValueError, match="unknown claim"):
         claim_family("nonsense")
+
+
+@pytest.mark.parametrize(
+    "family, bound",
+    [
+        ("thue_choice", "thue_choice_refined"),
+        ("weak_total", "weak_total"),
+        ("improved_weak_total", "improved_weak_total"),
+    ],
+)
+def test_family_list_sizes_are_the_bounds(family, bound):
+    fam = claim_family(family)
+    for d in range(fam.min_delta, fam.min_delta + 200):
+        assert fam.at(d).list_size == eval_bound(bound, d)
 
 
 def test_improved_family_is_reference_only():
