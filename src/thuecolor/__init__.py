@@ -56,7 +56,6 @@ from .repetition import (
     Regime,
     find_square,
     find_violating_path,
-    has_square_through,
     is_valid,
 )
 from .resample import (

@@ -18,6 +18,12 @@ from typing import Callable
 CBRT2 = 2.0 ** (1.0 / 3.0)
 CBRT4 = 2.0 ** (2.0 / 3.0)
 
+# the improved_weak_total (IWT) triple: lists of 4.25 Delta colors give
+# growth 1.62 Delta at a vertex and 4.2 Delta at an edge, for large Delta
+IWT_LISTS = 4.25
+IWT_VERTEX_RATE = 1.62
+IWT_EDGE_RATE = 4.2
+
 _SNAP_EPS = 1e-9
 
 
@@ -77,7 +83,7 @@ def _weak_total(d: int) -> int:
 
 
 def _improved_weak_total(d: int) -> int:
-    return ceil_snapped(4.25 * d)
+    return ceil_snapped(IWT_LISTS * d)
 
 
 def _total_thue(d: int) -> float:
@@ -319,17 +325,18 @@ class CertifyReport:
 def certify_delta_inequalities(delta: int) -> CertifyReport:
     if delta < 1:
         raise ValueError("Delta must be positive")
-    edge_lhs = 4.25 - (2.0 / delta) * sum_weighted_geometric(1.0 / 1.62)
-    vertex_lhs = 4.25 - sum_weighted_geometric(1.0 / math.sqrt(1.62 * 4.2))
-    edge_ok = edge_lhs >= 4.2
-    vertex_ok = vertex_lhs >= 1.62
+    lists, v_rate, e_rate = IWT_LISTS, IWT_VERTEX_RATE, IWT_EDGE_RATE
+    edge_lhs = lists - (2.0 / delta) * sum_weighted_geometric(1.0 / v_rate)
+    vertex_lhs = lists - sum_weighted_geometric(1.0 / math.sqrt(v_rate * e_rate))
+    edge_ok = edge_lhs >= e_rate
+    vertex_ok = vertex_lhs >= v_rate
     return CertifyReport(
         delta=delta,
         edge_rate_lhs=edge_lhs,
-        edge_rate_margin=edge_lhs - 4.2,
+        edge_rate_margin=edge_lhs - e_rate,
         edge_rate_holds=edge_ok,
         vertex_rate_lhs=vertex_lhs,
-        vertex_rate_margin=vertex_lhs - 1.62,
+        vertex_rate_margin=vertex_lhs - v_rate,
         vertex_rate_holds=vertex_ok,
         holds=edge_ok and vertex_ok,
     )

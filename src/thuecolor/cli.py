@@ -1,16 +1,18 @@
 """Command line interface.
 
 Outputs one JSON document on stdout (canonical key order; --pretty
-indents).  Exit codes: 0 on success, 1 when a property violation was
-found (a square, a failed bound, a failed certification), 2 for any
-input the program cannot accept (usage errors, parse errors and
-out-of-range values), which ``run`` decides in one place from the
-``ValueError`` or ``OverflowError`` that such input raises.
+indents), or CSV for ``bounds --table``.  Exit codes: 0 on success, 1
+when a property violation was found (a square, a failed bound, a failed
+certification), 2 for any input the program cannot accept (usage
+errors, parse errors and out-of-range values), which ``run`` decides in
+one place from the ``ValueError`` or ``OverflowError`` that such input
+raises, before it writes anything to stdout.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import re
 import sys
@@ -227,12 +229,13 @@ def _cmd_paths(args) -> dict:
     return payload
 
 
-def _cmd_bounds(args) -> dict | None:
+def _cmd_bounds(args) -> dict | str:
     if args.table is not None:
         lo, hi = args.table
         if lo > hi or lo < 1:
             raise ValueError("--table needs 1 <= MIN <= MAX")
-        writer = csv.writer(sys.stdout, lineterminator="\n")
+        table = io.StringIO()
+        writer = csv.writer(table, lineterminator="\n")
         names = list(bounds_mod.bound_names())
         writer.writerow(["delta"] + names)
         for d in range(lo, hi + 1):
@@ -243,7 +246,7 @@ def _cmd_bounds(args) -> dict | None:
                 except ValueError:
                     row.append("")
             writer.writerow(row)
-        return None
+        return table.getvalue()
     if args.name is None or args.delta is None:
         raise ValueError("bounds needs --name with --delta, or --table MIN MAX")
     value = bounds_mod.eval_bound(args.name, args.delta)
@@ -419,13 +422,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(payload: dict | None, pretty: bool) -> None:
-    if payload is None:
-        return
-    if pretty:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(json.dumps(payload, sort_keys=True))
+def _render(payload: dict | str, pretty: bool) -> str:
+    """The stdout text of a payload: CSV text as it is, else one JSON document."""
+    if isinstance(payload, str):
+        return payload
+    return json.dumps(payload, indent=2 if pretty else None, sort_keys=True) + "\n"
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -436,15 +437,17 @@ def run(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return 0 if not exc.code else 2
     try:
-        payload = args.func(args)
+        try:
+            payload, code = args.func(args), 0
+        except PropertyViolation as violation:
+            payload, code = violation.payload, 1
+        # json.dumps refuses integers of more than 4,300 digits
+        text = _render(payload, args.pretty)
     except (ValueError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except PropertyViolation as violation:
-        _emit(violation.payload, args.pretty)
-        return 1
-    _emit(payload, args.pretty)
-    return 0
+    sys.stdout.write(text)
+    return code
 
 
 def main() -> None:

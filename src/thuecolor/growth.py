@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .bounds import BOUNDS, CBRT2, CBRT4, ceil_snapped
+from .bounds import BOUNDS, CBRT2, CBRT4, IWT_EDGE_RATE, IWT_VERTEX_RATE, ceil_snapped
 from .counting import ListAssignment, count_colorings
 from .graphs import ElementId, ElementKind, GeneralizedGraph, delete
 from .repetition import Regime, relevant_elements
@@ -48,7 +48,6 @@ class ClaimFamily:
     regime: Regime
     element_kind: ElementKind | None
     min_delta: int
-    reference_delta: int
     list_size: Callable[[int], int]
     growth: Callable[[int], float]
     growth_edge: Callable[[int], float] | None = None
@@ -93,7 +92,6 @@ CLAIM_FAMILIES: dict[str, ClaimFamily] = {
             regime=Regime.VERTEX,
             element_kind=ElementKind.VERTEX,
             min_delta=2,
-            reference_delta=2,
             list_size=lambda d: 4,
             growth=lambda d: 2.0,
         ),
@@ -102,7 +100,6 @@ CLAIM_FAMILIES: dict[str, ClaimFamily] = {
             regime=Regime.VERTEX,
             element_kind=ElementKind.VERTEX,
             min_delta=2,
-            reference_delta=2,
             list_size=BOUNDS["thue_choice_refined"].evaluate,
             growth=_thue_choice_growth,
         ),
@@ -111,7 +108,6 @@ CLAIM_FAMILIES: dict[str, ClaimFamily] = {
             regime=Regime.WEAK_TOTAL,
             element_kind=None,
             min_delta=2,
-            reference_delta=2,
             list_size=BOUNDS["weak_total"].evaluate,
             growth=lambda d: 3.0 * d,
         ),
@@ -122,10 +118,9 @@ CLAIM_FAMILIES: dict[str, ClaimFamily] = {
             regime=Regime.WEAK_TOTAL,
             element_kind=None,
             min_delta=300,
-            reference_delta=300,
             list_size=BOUNDS["improved_weak_total"].evaluate,
-            growth=lambda d: 1.62 * d,
-            growth_edge=lambda d: 4.2 * d,
+            growth=lambda d: IWT_VERTEX_RATE * d,
+            growth_edge=lambda d: IWT_EDGE_RATE * d,
             desk_scale=False,
         ),
         ClaimFamily(
@@ -133,7 +128,6 @@ CLAIM_FAMILIES: dict[str, ClaimFamily] = {
             regime=Regime.STRONG_TOTAL,
             element_kind=None,
             min_delta=2,
-            reference_delta=2,
             list_size=_total_lists,
             growth=_total_growth,
         ),
@@ -142,8 +136,8 @@ CLAIM_FAMILIES: dict[str, ClaimFamily] = {
 
 
 def builtin_claims() -> list[GrowthClaim]:
-    """The five built-in claims, each at its reference degree."""
-    return [fam.at(fam.reference_delta) for fam in CLAIM_FAMILIES.values()]
+    """The five built-in claims, each at its least degree."""
+    return [fam.at(fam.min_delta) for fam in CLAIM_FAMILIES.values()]
 
 
 def claim_family(name: str) -> ClaimFamily:

@@ -42,14 +42,6 @@ def find_square(seq: Sequence) -> tuple[int, int] | None:
     return None
 
 
-def is_square_colors(colors: Sequence[Color]) -> bool:
-    n = len(colors)
-    if n == 0 or n % 2:
-        return False
-    half = n // 2
-    return all(colors[k] == colors[half + k] for k in range(half))
-
-
 class Regime(Enum):
     """Which paths must be square-free and which elements carry colors."""
 
@@ -91,15 +83,13 @@ def find_violating_path(
     g: GeneralizedGraph,
     coloring: Coloring,
     regime: Regime,
-    must_contain: ElementId | None = None,
 ) -> Path | None:
     """Search colored elements for a square path, shortest half-length first.
 
     Ties at the same half-length break on path kind (vertex, edge,
     mixed) and then on the canonical element sequence, so the result is
     deterministic.  Only paths all of whose elements are colored are
-    considered; ``must_contain`` restricts the search to paths through
-    that element.
+    considered.
 
     One level-synchronous pass covers every half-length.  Level h holds,
     per path kind, the directed simple paths of h colored elements,
@@ -107,45 +97,28 @@ def find_violating_path(
     A, B from one group with B[0] adjacent to A[-1] and A, B disjoint.
     The two halves of a square end at distinct elements at every level,
     so a group whose paths all end at one element is dropped, and the
-    groups die out on a square-free coloring.  Through ``must_contain``
-    the pass instead grows the pairs of halves themselves, in lockstep
-    and in both directions from x and an element of x's color: squares
-    elsewhere in the graph then cost nothing.
+    groups die out on a square-free coloring.
     """
     colored = g.elements.intersection(coloring)
-    if must_contain is not None:
-        if must_contain not in g:
-            raise ValueError(f"element not in graph: {must_contain}")
-        if must_contain not in colored:
-            return None
-    anchored = must_contain is not None
-    grow, least = (_next_pairs, _least_anchored) if anchored else (_next_groups, _least_square)
     searches = []
     for kind in regime.path_kinds:  # in kind order, which breaks ties
         domain = g.domain(kind) & colored
         adj = g._neighbor_table(kind)
         if adj.keys() != domain:  # uncolored or isolated elements
             adj = {x: tuple(y for y in adj.get(x, ()) if y in domain) for x in domain}
-        if not anchored:
-            classes: dict[Color, list[tuple[ElementId, ...]]] = {}
-            for x in domain:
-                classes.setdefault(coloring[x], []).append((x,))
-            level = _split_ends(classes.values())
-        elif must_contain in domain:
-            x = must_contain
-            level = [((x,), (y,), False) for y in domain if y != x and coloring[y] == coloring[x]]
-        else:
-            continue
-        searches.append((kind, adj, level))
+        classes: dict[Color, list[tuple[ElementId, ...]]] = {}
+        for x in domain:
+            classes.setdefault(coloring[x], []).append((x,))
+        searches.append((kind, adj, _split_ends(classes.values())))
     while searches:
-        for kind, adj, level in searches:
-            hit = least(adj, level)
+        for kind, adj, groups in searches:
+            hit = _least_square(adj, groups)
             if hit is not None:
                 return Path(kind, hit)
         searches = [
             (kind, adj, nxt)
-            for kind, adj, level in searches
-            if (nxt := grow(adj, coloring, level))
+            for kind, adj, groups in searches
+            if (nxt := _next_groups(adj, coloring, groups))
         ]
     return None
 
@@ -181,47 +154,6 @@ def _least_square(adj, groups):
                     if a[0] < b[-1] and set(a).isdisjoint(b) and (best is None or a + b < best):
                         best = a + b
     return best
-
-
-def _next_pairs(adj, coloring: Coloring, pairs):
-    """Extend both halves by one element of one color at the same end.
-
-    A pair grows on the right until it first grows on the left, and on
-    the left only after that, so each pair of halves is built once.
-    """
-    out = []
-    for a, b, left in pairs:
-        for to_left in (True,) if left else (False, True):
-            end_a, end_b = (a[0], b[0]) if to_left else (a[-1], b[-1])
-            for y in adj[end_a]:
-                if y in a or y in b:
-                    continue
-                for z in adj[end_b]:
-                    if z == y or coloring[z] != coloring[y] or z in a or z in b:
-                        continue
-                    if to_left:
-                        out.append(((y,) + a, (z,) + b, True))
-                    else:
-                        out.append((a + (y,), b + (z,), False))
-    return out
-
-
-def _least_anchored(adj, pairs):
-    """The least canonical square A + B over the grown pairs of halves."""
-    best = None
-    for a, b, _ in pairs:
-        if b[0] in adj[a[-1]]:
-            seq = min(a + b, (a + b)[::-1])
-            if best is None or seq < best:
-                best = seq
-    return best
-
-
-def has_square_through(
-    g: GeneralizedGraph, coloring: Coloring, regime: Regime, x: ElementId
-) -> bool:
-    """True when some fully colored square path of the regime passes through x."""
-    return find_violating_path(g, coloring, regime, x) is not None
 
 
 def require_total(g: GeneralizedGraph, coloring: Coloring, regime: Regime) -> None:

@@ -456,11 +456,25 @@ def test_malformed_element_index_exits_two(capsys, tmp_path, command, argv):
         ["corpus", "--max-half", "0"],
         ["certify", "--delta", str(10**400)],
         ["bounds", "--name", "thue_choice", "--delta", str(10**400)],
+        # the CSV header row precedes the 401-digit row that fails
+        ["bounds", "--table", str(10**400), str(10**400)],
+        # 6 Delta has 4,301 digits, more than json.dumps writes
+        ["bounds", "--name", "weak_total", "--delta", "9" * 4300],
     ],
     ids=lambda argv: " ".join(argv)[:40],
 )
 def test_out_of_range_values_exit_two(capsys, argv):
     code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_bound_too_long_to_write_exits_two(capsys, tmp_path):
+    # K4 has Delta = 3, so the path bound at half 10,000 has about 6,000 digits
+    gpath = write_graph(tmp_path, complete_graph(4))
+    argv = ["--through", "v:0", "--kind", "vertex", "--length", "20000"]
+    code, out, err = invoke(capsys, "paths", gpath, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")

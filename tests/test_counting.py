@@ -31,7 +31,7 @@ from thuecolor.graphs import (
     walk,
 )
 from thuecolor.growth import check_growth, claim_family
-from thuecolor.repetition import Regime, has_square_through, is_valid, relevant_elements
+from thuecolor.repetition import Regime, find_violating_path, is_valid, relevant_elements
 
 
 def _rand_graph(rnd, n_max=5):
@@ -319,7 +319,8 @@ def test_json_round_trips():
 
 def _reference_count(g, lists, regime, order=None):
     """Backtracking without palette symmetry: every color is tried at every
-    element, and a branch is cut by the independent square search."""
+    element, and a branch is cut by the independent square search.  The
+    prefix before x is square-free, so any square found passes through x."""
     elems = relevant_elements(g, regime) if order is None else list(order)
     coloring = {}
 
@@ -330,7 +331,7 @@ def _reference_count(g, lists, regime, order=None):
         total = 0
         for c in sorted(lists.colors(x)):
             coloring[x] = c
-            if not has_square_through(g, coloring, regime, x):
+            if find_violating_path(g, coloring, regime) is None:
                 total += rec(d + 1)
         coloring.pop(x, None)
         return total

@@ -29,7 +29,7 @@ from thuecolor.graphs import (
     vertex,
     walk,
 )
-from thuecolor.repetition import Regime, find_violating_path, relevant_elements
+from thuecolor.repetition import Regime, find_violating_path
 
 
 def _rand_graph(rnd, n_max=7, extra=0.5):
@@ -238,8 +238,8 @@ def test_walk_echo_matches_filtered_squares(name, kind, colors):
     """find_violating_path against the squares filtered from the full walk.
 
     The oracle is the least square by half, then kind, then sequence,
-    over halves up to ORACLE_MAX_HALF, with and without ``must_contain``;
-    one coloring of each case leaves some elements uncolored.
+    over halves up to ORACLE_MAX_HALF; one coloring of each case leaves
+    some elements uncolored.
     """
     g = WALK_GRAPHS[name]
     rnd = random.Random(f"{name}:{kind.value}:{colors}")
@@ -260,29 +260,26 @@ def test_walk_echo_matches_filtered_squares(name, kind, colors):
             for key, seqs in walks.items()
         }
         for regime in REGIMES_ENDING_IN[kind]:
-            for x in [None, *relevant_elements(g, regime)]:
-                found = find_violating_path(g, c, regime, must_contain=x)
-                expected = next(
-                    (
-                        Path(k, s)
-                        for half in range(1, ORACLE_MAX_HALF + 1)
-                        for k in regime.path_kinds
-                        for s in squares[k, half]
-                        if x is None or x in s
-                    ),
-                    None,
-                )
-                if expected is not None or found is None:
-                    assert found == expected, (regime, x)
-                    continue
-                # no square up to the oracle's halves: any answer is longer
-                half = len(found) // 2
-                assert half > ORACLE_MAX_HALF and path_is_valid(g, found)
-                assert x is None or x in found.elements
-                assert all(y in c for y in found.elements)
-                assert [c[y] for y in found.elements[:half]] == [
-                    c[y] for y in found.elements[half:]
-                ]
+            found = find_violating_path(g, c, regime)
+            expected = next(
+                (
+                    Path(k, s)
+                    for half in range(1, ORACLE_MAX_HALF + 1)
+                    for k in regime.path_kinds
+                    for s in squares[k, half]
+                ),
+                None,
+            )
+            if expected is not None or found is None:
+                assert found == expected, regime
+                continue
+            # no square up to the oracle's halves: any answer is longer
+            half = len(found) // 2
+            assert half > ORACLE_MAX_HALF and path_is_valid(g, found)
+            assert all(y in c for y in found.elements)
+            assert [c[y] for y in found.elements[:half]] == [
+                c[y] for y in found.elements[half:]
+            ]
 
 
 def test_count_paths_bound_values():

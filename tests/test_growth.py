@@ -239,8 +239,8 @@ def test_families_registry():
         "total_thue",
     }
     for fam in CLAIM_FAMILIES.values():
-        ref = fam.at(fam.reference_delta)
-        assert ref.delta == fam.reference_delta
+        ref = fam.at(fam.min_delta)
+        assert ref.delta == fam.min_delta
 
 
 def test_report_consistent_with_direct_counts():

@@ -18,8 +18,6 @@ from thuecolor.repetition import (
     Regime,
     find_square,
     find_violating_path,
-    has_square_through,
-    is_square_colors,
     is_valid,
     relevant_elements,
 )
@@ -85,14 +83,6 @@ def test_find_square_random_longer():
         n = rnd.randint(13, 40)
         seq = tuple(rnd.randrange(3) for _ in range(n))
         assert find_square(seq) == _brute_square(seq), seq
-
-
-def test_is_square_colors():
-    assert is_square_colors([4, 4])
-    assert is_square_colors([1, 2, 1, 2])
-    assert not is_square_colors([1, 2, 2, 1])
-    assert not is_square_colors([])
-    assert not is_square_colors([1, 2, 1])
 
 
 def test_regime_kinds():
@@ -165,28 +155,12 @@ def test_mixed_square_odd_half_counts():
     assert not is_valid(g, coloring, Regime.WEAK_TOTAL)
 
 
-def test_must_contain_and_has_square_through():
-    g = path_graph(4)
-    coloring = _vcolor(1, 1, 3, 4)
-    assert find_violating_path(g, coloring, Regime.VERTEX, must_contain=vertex(3)) is None
-    hit = find_violating_path(g, coloring, Regime.VERTEX, must_contain=vertex(0))
-    assert hit == Path(PathKind.VERTEX, (vertex(0), vertex(1)))
-    assert has_square_through(g, coloring, Regime.VERTEX, vertex(1))
-    assert not has_square_through(g, coloring, Regime.VERTEX, vertex(3))
-    with pytest.raises(ValueError):
-        has_square_through(g, coloring, Regime.VERTEX, vertex(9))
-    with pytest.raises(ValueError):
-        find_violating_path(g, coloring, Regime.VERTEX, must_contain=edge(9))
-
-
 def test_closed_walks_are_not_squares():
     # u v w u v w spells 1 2 3 1 2 3 around either triangle but repeats
     # its elements; the second triangle keeps the word's group alive
     g = from_standard(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     coloring = _vcolor(1, 2, 3, 1, 2, 3)
     assert is_valid(g, coloring, Regime.VERTEX)
-    for x in relevant_elements(g, Regime.VERTEX):
-        assert not has_square_through(g, coloring, Regime.VERTEX, x)
 
 
 def test_partial_colorings_searched_on_colored_part_only():
@@ -207,20 +181,6 @@ def test_is_valid_requires_total_coloring():
     with pytest.raises(ValueError, match="partial"):
         # vertex colors alone do not cover a total regime
         is_valid(g, _vcolor(1, 2, 3), Regime.WEAK_TOTAL)
-
-
-def test_has_square_through_agrees_with_restricted_search():
-    rnd = random.Random(20103)
-    for _ in range(150):
-        n = rnd.randint(2, 5)
-        pairs = [(u, w) for u in range(n) for w in range(u + 1, n)]
-        m = rnd.randint(1, len(pairs))
-        g = from_standard(n, sorted(rnd.sample(pairs, m)))
-        regime = rnd.choice(list(Regime))
-        coloring = {x: rnd.randrange(3) for x in relevant_elements(g, regime)}
-        for x in relevant_elements(g, regime):
-            via_find = find_violating_path(g, coloring, regime, must_contain=x)
-            assert has_square_through(g, coloring, regime, x) == (via_find is not None)
 
 
 def test_weak_total_on_paths_equals_interleaved_word():
