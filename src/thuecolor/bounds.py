@@ -90,13 +90,6 @@ def _total_thue(d: int) -> float:
     return d * d + (3.0 / CBRT2) * d ** (5.0 / 3.0) + 8.0 * d ** (4.0 / 3.0) + 1.0
 
 
-_total_formula = BoundFormula(
-    name="total_thue",
-    min_delta=1,
-    evaluate=_total_thue,
-    description="list colorings of vertices and edges together, all three path kinds",
-)
-
 BOUNDS: dict[str, BoundFormula] = {
     f.name: f
     for f in (
@@ -124,7 +117,12 @@ BOUNDS: dict[str, BoundFormula] = {
             _improved_weak_total,
             "mixed paths only, large degree: ceil(4.25 Delta)",
         ),
-        _total_formula,
+        BoundFormula(
+            "total_thue",
+            1,
+            _total_thue,
+            "list colorings of vertices and edges together, all three path kinds",
+        ),
         BoundFormula(
             "edge_thue_choice",
             1,
@@ -158,7 +156,7 @@ def eval_bound(name: str, delta: int) -> float | int:
 
 @dataclass(frozen=True)
 class SeriesBound:
-    """Objective alpha + const + geometric*a/(a-1) + weighted*(a/(a-1))^2.
+    """Objective alpha + geometric*a/(a-1) + weighted*(a/(a-1))^2.
 
     ``geometric`` weights the series with a_i = 1, ``weighted`` the
     series with a_i = i.  The domain opens at the series' radius of
@@ -166,7 +164,6 @@ class SeriesBound:
     otherwise.
     """
 
-    const: float = 0.0
     geometric: float = 0.0
     weighted: float = 0.0
 
@@ -177,7 +174,7 @@ class SeriesBound:
     def objective(self, alpha: float) -> float:
         if alpha <= self.domain_low:
             raise ValueError(f"alpha must exceed {self.domain_low}")
-        value = alpha + self.const
+        value = alpha
         if self.geometric:
             value += self.geometric * sum_geometric(1.0 / alpha)
         if self.weighted:
@@ -201,14 +198,12 @@ class OptimizeResult:
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def optimize(series: SeriesBound, tol: float = 1e-9, scan_check: bool = False
-             ) -> OptimizeResult:
+def optimize(series: SeriesBound, tol: float = 1e-9) -> OptimizeResult:
     """Minimize the series objective by golden section over a doubling bracket.
 
     Returns the argmin and minimum to within ``tol``.  When the
     objective increases all the way down to the domain edge the infimum
     sits at the boundary and the result is flagged non-interior.
-    ``scan_check`` adds a 1000-point unimodality scan over the bracket.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be a positive finite number, got {tol}")
@@ -246,9 +241,6 @@ def optimize(series: SeriesBound, tol: float = 1e-9, scan_check: bool = False
         if not found:
             return OptimizeResult(alpha=lo + t1, gamma=f1, interior=False)
 
-    if scan_check:
-        _scan_unimodal(f, lo + a, lo + b)
-
     xatol = max(tol * 1e-3, 5e-14 * max(1.0, lo + b))
     a, b = lo + a, lo + b
     c = b - _INVPHI * (b - a)
@@ -265,16 +257,6 @@ def optimize(series: SeriesBound, tol: float = 1e-9, scan_check: bool = False
             fd = f(d)
     alpha = (a + b) / 2
     return OptimizeResult(alpha=alpha, gamma=f(alpha), interior=True)
-
-
-def _scan_unimodal(f: Callable[[float], float], a: float, b: float) -> None:
-    values = [f(a + (b - a) * k / 999.0) for k in range(1000)]
-    rising = False
-    for prev, cur in zip(values, values[1:]):
-        if cur > prev:
-            rising = True
-        elif cur < prev and rising:
-            raise ValueError("objective is not unimodal on the bracket")
 
 
 def root_cubic(tol: float = 1e-12) -> float:

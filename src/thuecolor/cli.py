@@ -74,20 +74,21 @@ def _load_graph(path: str) -> GeneralizedGraph:
         raise ValueError(f"bad graph in {path}: {err}") from None
 
 
-def _load_lists(args, g: GeneralizedGraph) -> ListAssignment:
-    if getattr(args, "uniform", None) is not None and getattr(args, "lists", None):
-        raise ValueError("give either --uniform or --lists, not both")
-    if getattr(args, "uniform", None) is not None:
+def _load_lists(args, g: GeneralizedGraph, flag: str = "--uniform") -> ListAssignment:
+    """The lists of ``args.uniform`` (given as ``flag``) or of ``args.lists``."""
+    if args.uniform is not None and args.lists:
+        raise ValueError(f"give either {flag} or --lists, not both")
+    if args.uniform is not None:
         if args.uniform < 0:
-            raise ValueError("--uniform must be nonnegative")
+            raise ValueError(f"{flag} must be nonnegative")
         return ListAssignment.uniform(g, args.uniform)
-    if getattr(args, "lists", None):
+    if args.lists:
         obj = _load_json(args.lists)
         try:
             return lists_from_json(obj, g)
         except ValueError as err:
             raise ValueError(f"bad list assignment in {args.lists}: {err}") from None
-    raise ValueError("a list assignment is required (--uniform or --lists)")
+    raise ValueError(f"a list assignment is required ({flag} or --lists)")
 
 
 def _parse_regime(text: str) -> Regime:
@@ -289,12 +290,7 @@ def _cmd_certify(args) -> dict:
 
 def _cmd_color(args) -> dict:
     g = _load_graph(args.graph)
-    if args.colors is not None:
-        if args.colors < 0:
-            raise ValueError("--colors must be nonnegative")
-        lists = ListAssignment.uniform(g, args.colors)
-    else:
-        lists = _load_lists(args, g)
+    lists = _load_lists(args, g, "--colors")
     regime = _parse_regime(args.regime)
     run = resample_color(g, lists, regime, args.seed, args.max_steps)
     payload: dict = {
@@ -408,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("color", help="run the resampling colorer")
     p.add_argument("graph")
     p.add_argument("--regime", required=True)
-    p.add_argument("--colors", type=int)
+    p.add_argument("--colors", type=int, dest="uniform")
     p.add_argument("--lists")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-steps", type=int, default=100_000, dest="max_steps")

@@ -52,6 +52,12 @@ from .repetition import (
 )
 
 
+# Uniform lists are materialized as one frozenset, so a size near 10^30
+# would exhaust memory instead of failing.  Every value of the closed-form
+# bounds up to Delta = 300 is below this (the largest is 138,080).
+MAX_UNIFORM_SIZE = 2**20
+
+
 @dataclass(frozen=True)
 class ListAssignment:
     """A color list per element.  Lists are immutable frozensets of ints."""
@@ -64,9 +70,6 @@ class ListAssignment:
         except KeyError:
             raise ValueError(f"no color list for element {x}") from None
 
-    def has(self, x: ElementId) -> bool:
-        return x in self.lists
-
     def min_size(self, elements: Iterable[ElementId]) -> int:
         sizes = [len(self.colors(x)) for x in elements]
         return min(sizes) if sizes else 0
@@ -76,6 +79,10 @@ class ListAssignment:
         """Colors 0..size-1 on every element of the graph."""
         if size < 0:
             raise ValueError("list size must be nonnegative")
+        if size > MAX_UNIFORM_SIZE:
+            raise ValueError(
+                f"list size {size} exceeds the limit of {MAX_UNIFORM_SIZE} colors"
+            )
         palette = frozenset(range(size))
         return ListAssignment({x: palette for x in g.elements})
 
@@ -305,15 +312,10 @@ def enumerate_colorings(
     g: GeneralizedGraph,
     lists: ListAssignment,
     regime: Regime,
-    limit: int | None = None,
-    order: Sequence[ElementId] | None = None,
 ) -> Iterator[dict[ElementId, Color]]:
     """Yield every valid coloring in deterministic backtracking order."""
-    if limit is not None and limit <= 0:
-        return
-    cp = _compile(g, lists, regime, order)
+    cp = _compile(g, lists, regime, None)
     m = len(cp.order)
-    emitted = 0
     if m == 0:
         yield {}
         return
@@ -342,11 +344,7 @@ def enumerate_colorings(
             else:
                 yield from rec(d + 1)
 
-    for coloring in rec(0):
-        yield coloring
-        emitted += 1
-        if limit is not None and emitted >= limit:
-            return
+    yield from rec(0)
 
 
 def count_colorings_bruteforce(

@@ -10,15 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 from .bounds import BOUNDS, CBRT2, CBRT4, IWT_EDGE_RATE, IWT_VERTEX_RATE, ceil_snapped
 from .counting import ListAssignment, count_colorings
 from .graphs import ElementId, ElementKind, GeneralizedGraph, delete
 from .repetition import Regime, relevant_elements
-
-# a ratio within 5% of the required rate is reported as tight
-_TIGHT_FACTOR = 1.05
 
 
 @dataclass(frozen=True)
@@ -135,11 +132,6 @@ CLAIM_FAMILIES: dict[str, ClaimFamily] = {
 }
 
 
-def builtin_claims() -> list[GrowthClaim]:
-    """The five built-in claims, each at its least degree."""
-    return [fam.at(fam.min_delta) for fam in CLAIM_FAMILIES.values()]
-
-
 def claim_family(name: str) -> ClaimFamily:
     try:
         return CLAIM_FAMILIES[name]
@@ -155,10 +147,8 @@ class GrowthReport:
     element: ElementId
     lhs: int  # count with x present
     count_without: int
-    rhs_bound: float
     ratio: float  # lhs / count_without, inf when the smaller count is 0
     holds: bool
-    tight: bool
 
 
 def check_growth(
@@ -203,36 +193,11 @@ def check_growth(
     else:
         holds = Fraction(lhs, without) >= Fraction(rate)
         ratio = lhs / without
-    tight = holds and math.isfinite(ratio) and ratio <= rate * _TIGHT_FACTOR
     return GrowthReport(
         claim=claim,
         element=x,
         lhs=lhs,
         count_without=without,
-        rhs_bound=rate * without,
         ratio=ratio,
         holds=holds,
-        tight=tight,
     )
-
-
-@dataclass(frozen=True)
-class SweepSummary:
-    reports: tuple[GrowthReport, ...]
-    min_ratio: float
-    failures: tuple[GrowthReport, ...]
-
-    @property
-    def all_hold(self) -> bool:
-        return not self.failures
-
-
-def sweep(
-    corpus: Iterable[tuple[GeneralizedGraph, ListAssignment, ElementId]],
-    claim: GrowthClaim,
-) -> SweepSummary:
-    """Run check_growth over a corpus of (graph, lists, element) instances."""
-    reports = tuple(check_growth(g, lists, claim, x) for g, lists, x in corpus)
-    min_ratio = min((r.ratio for r in reports), default=math.inf)
-    failures = tuple(r for r in reports if not r.holds)
-    return SweepSummary(reports=reports, min_ratio=min_ratio, failures=failures)

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -28,12 +29,18 @@ def write_graph(tmp_path, g, name="g.json"):
     return str(path)
 
 
-def run_module(*argv):
+def _cap_memory():
+    # a runaway allocation fails inside the child instead of starving the host
+    resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+
+def run_module(*argv, timeout=60):
     """``python -m thuecolor.cli`` in a fresh interpreter, on this checkout's package."""
     src = os.path.dirname(os.path.dirname(thuecolor.__file__))
     return subprocess.run(
         [sys.executable, "-m", "thuecolor.cli", *argv],
-        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=timeout, preexec_fn=_cap_memory,
+        env={**os.environ, "PYTHONPATH": src},
     )
 
 
@@ -286,6 +293,29 @@ def test_color_rejects_negative_colors(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == "error: --colors must be nonnegative\n"
+
+
+def test_color_rejects_colors_with_lists(capsys, tmp_path):
+    gpath = write_graph(tmp_path, path_graph(6))
+    lists = tmp_path / "lists.json"
+    lists.write_text(json.dumps({"uniform": 4}))
+    code, out, err = invoke(
+        capsys, "color", gpath, "--regime", "vertex", "--colors", "4", "--lists", str(lists)
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: give either --colors or --lists, not both\n"
+
+
+@pytest.mark.parametrize("command, flag", [("count", "--uniform"), ("color", "--colors")])
+def test_huge_uniform_lists_exit_two(tmp_path, command, flag):
+    # a list of 10^30 colors cannot be built; it must be refused, not tried
+    gpath = write_graph(tmp_path, path_graph(6))
+    done = run_module(command, gpath, "--regime", "vertex", flag, str(10**30), timeout=10)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error:")
+    assert "exceeds the limit of 1048576 colors" in done.stderr
 
 
 def test_verify_searches_once(capsys, tmp_path, monkeypatch):

@@ -7,7 +7,9 @@ import sys
 import pytest
 
 import thuecolor.counting
+from thuecolor.bounds import BOUNDS, eval_bound
 from thuecolor.counting import (
+    MAX_UNIFORM_SIZE,
     ListAssignment,
     coloring_from_json,
     coloring_to_json,
@@ -46,12 +48,24 @@ def test_list_assignment_basics():
     u = ListAssignment.uniform(g, 3)
     assert u.colors(vertex(0)) == frozenset({0, 1, 2})
     assert u.colors(edge(0)) == frozenset({0, 1, 2})
-    assert u.has(vertex(1)) and not u.has(vertex(2))
+    assert vertex(1) in u.lists and vertex(2) not in u.lists
     assert u.min_size([vertex(0), edge(0)]) == 3
     fm = ListAssignment.from_map({vertex(0): [5, 5, 6]})
     assert fm.colors(vertex(0)) == frozenset({5, 6})
     with pytest.raises(ValueError):
         fm.colors(vertex(1))
+
+
+def test_uniform_size_limit():
+    # every list size the bounds give up to Delta = 300 stays below the limit
+    largest = max(eval_bound(n, d) for n, f in BOUNDS.items() for d in range(f.min_delta, 301))
+    assert math.ceil(largest) == 138_080 < MAX_UNIFORM_SIZE == 2**20
+    g = path_graph(1)
+    assert len(ListAssignment.uniform(g, MAX_UNIFORM_SIZE).colors(vertex(0))) == 2**20
+    with pytest.raises(ValueError, match="exceeds the limit of 1048576 colors"):
+        ListAssignment.uniform(g, MAX_UNIFORM_SIZE + 1)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        lists_from_json({"uniform": 10**30}, g)
 
 
 def test_small_path_counts():
@@ -286,8 +300,6 @@ def test_enumerate_colorings():
         {vertex(0): 1, vertex(1): 2},
         {vertex(0): 2, vertex(1): 1},
     ]
-    assert list(enumerate_colorings(g, L, Regime.VERTEX, limit=0)) == []
-    assert len(list(enumerate_colorings(g, L, Regime.VERTEX, limit=1))) == 1
 
 
 def test_enumerate_agrees_with_count_and_validates():
