@@ -133,10 +133,6 @@ BOUNDS: dict[str, BoundFormula] = {
 }
 
 
-def bound_names() -> tuple[str, ...]:
-    return tuple(BOUNDS)
-
-
 def eval_bound(name: str, delta: int) -> float | int:
     """Evaluate a named bound at maximum degree ``delta``."""
     try:
@@ -196,6 +192,9 @@ class OptimizeResult:
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# the bracket search starts at least this far from the domain edge and
+# halves toward the edge until it is no further away than this
+_LADDER_FLOOR = 1e-9
 
 
 def optimize(series: SeriesBound, tol: float = 1e-9) -> OptimizeResult:
@@ -210,7 +209,7 @@ def optimize(series: SeriesBound, tol: float = 1e-9) -> OptimizeResult:
     lo = series.domain_low
     f = series.objective
 
-    t1 = max(tol, 1e-9)
+    t1 = max(tol, _LADDER_FLOOR)
     t2 = 2 * t1
     f1, f2 = f(lo + t1), f(lo + t2)
     if f1 > f2:
@@ -228,18 +227,15 @@ def optimize(series: SeriesBound, tol: float = 1e-9) -> OptimizeResult:
     else:
         # rising here; the minimum, if interior, hides between the
         # boundary and t2.  Halve toward the boundary looking for a rise.
-        a = b = 0.0
-        found = False
-        for _ in range(240):
+        while True:
+            if t1 <= _LADDER_FLOOR:
+                return OptimizeResult(alpha=lo + t1, gamma=f1, interior=False)
             t_half = t1 / 2
             f_half = f(lo + t_half)
             if f_half > f1:
                 a, b = t_half, t2
-                found = True
                 break
             t2, t1, f1 = t1, t_half, f_half
-        if not found:
-            return OptimizeResult(alpha=lo + t1, gamma=f1, interior=False)
 
     xatol = max(tol * 1e-3, 5e-14 * max(1.0, lo + b))
     a, b = lo + a, lo + b

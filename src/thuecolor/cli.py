@@ -50,10 +50,11 @@ class PropertyViolation(Exception):
         self.payload = payload
 
 
-def _load_json(path: str):
+def _load(path: str, what: str, parse):
+    """``parse`` applied to the JSON in ``path``; its errors name the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except FileNotFoundError:
         raise ValueError(f"no such file: {path}") from None
     except OSError as err:
@@ -64,14 +65,14 @@ def _load_json(path: str):
         ) from None
     except UnicodeDecodeError as err:
         raise ValueError(f"cannot read {path}: not UTF-8 text ({err.reason})") from None
+    try:
+        return parse(obj)
+    except ValueError as err:
+        raise ValueError(f"bad {what} in {path}: {err}") from None
 
 
 def _load_graph(path: str) -> GeneralizedGraph:
-    obj = _load_json(path)
-    try:
-        return graph_from_json(obj)
-    except ValueError as err:
-        raise ValueError(f"bad graph in {path}: {err}") from None
+    return _load(path, "graph", graph_from_json)
 
 
 def _load_lists(args, g: GeneralizedGraph, flag: str = "--uniform") -> ListAssignment:
@@ -83,11 +84,7 @@ def _load_lists(args, g: GeneralizedGraph, flag: str = "--uniform") -> ListAssig
             raise ValueError(f"{flag} must be nonnegative")
         return ListAssignment.uniform(g, args.uniform)
     if args.lists:
-        obj = _load_json(args.lists)
-        try:
-            return lists_from_json(obj, g)
-        except ValueError as err:
-            raise ValueError(f"bad list assignment in {args.lists}: {err}") from None
+        return _load(args.lists, "list assignment", lambda obj: lists_from_json(obj, g))
     raise ValueError(f"a list assignment is required ({flag} or --lists)")
 
 
@@ -148,11 +145,7 @@ def _cmd_verify(args) -> dict:
     if args.graph is None or args.coloring is None:
         raise ValueError("verify needs either --sequence or a graph with --coloring")
     g = _load_graph(args.graph)
-    obj = _load_json(args.coloring)
-    try:
-        coloring = coloring_from_json(obj)
-    except ValueError as err:
-        raise ValueError(f"bad coloring in {args.coloring}: {err}") from None
+    coloring = _load(args.coloring, "coloring", coloring_from_json)
     regime = _parse_regime(args.regime)
     require_total(g, coloring, regime)
     violation = find_violating_path(g, coloring, regime)
@@ -189,7 +182,8 @@ def _cmd_ratio(args) -> dict:
         "element": str(x),
         "C_G": str(report.lhs),
         "C_Gminus": str(report.count_without),
-        "ratio": report.ratio,
+        # C(G - x) = 0 makes the ratio infinite, which JSON cannot hold
+        "ratio": report.ratio if report.count_without else None,
         "bound": report.claim.growth_for(x.kind),
         "holds": report.holds,
     }
@@ -237,7 +231,7 @@ def _cmd_bounds(args) -> dict | str:
             raise ValueError("--table needs 1 <= MIN <= MAX")
         table = io.StringIO()
         writer = csv.writer(table, lineterminator="\n")
-        names = list(bounds_mod.bound_names())
+        names = list(bounds_mod.BOUNDS)
         writer.writerow(["delta"] + names)
         for d in range(lo, hi + 1):
             row: list = [d]
@@ -422,7 +416,8 @@ def _render(payload: dict | str, pretty: bool) -> str:
     """The stdout text of a payload: CSV text as it is, else one JSON document."""
     if isinstance(payload, str):
         return payload
-    return json.dumps(payload, indent=2 if pretty else None, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2 if pretty else None, sort_keys=True, allow_nan=False)
+    return text + "\n"
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -437,7 +432,8 @@ def run(argv: list[str] | None = None) -> int:
             payload, code = args.func(args), 0
         except PropertyViolation as violation:
             payload, code = violation.payload, 1
-        # json.dumps refuses integers of more than 4,300 digits
+        # json.dumps refuses integers of more than 4,300 digits and, with
+        # allow_nan=False, any NaN or infinite float
         text = _render(payload, args.pretty)
     except (ValueError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)

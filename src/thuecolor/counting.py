@@ -23,9 +23,11 @@ Each coloring lies in exactly one subtree and is counted once, by an
 integer weight, so the count stays exact.  Uniform lists give one group
 per depth.
 
-A brute-force counter that filters every total assignment through the
-independent square search is kept for cross-validation on tiny
-instances.
+Two references share no table with the counter, for cross-validation
+on small instances: the enumerator is the search-cut route, which
+colors one element at a time and drops a partial coloring as soon as
+the independent square search finds a square in it, and a brute-force
+counter filters every total assignment through that search.
 """
 from __future__ import annotations
 
@@ -47,6 +49,7 @@ from .graphs import (
 from .repetition import (
     Color,
     Regime,
+    find_violating_path,
     is_valid,
     relevant_elements,
 )
@@ -164,14 +167,13 @@ def coloring_to_json(coloring: Mapping[ElementId, Color]) -> list[dict]:
 # compiled backtracking
 # ---------------------------------------------------------------------------
 
-# The counter and the enumerator recurse once per element to color; this
-# many frames of the interpreter's recursion limit are left to their callers.
+# Only the counter recurses, once per element to color; this many frames of
+# the interpreter's recursion limit are left to its callers.
 _CALLER_FRAMES = 100
 
 
 @dataclass
 class _Compiled:
-    order: list[ElementId]
     palettes: list[tuple[int, ...]]
     # positions whose color must differ from position d (half-length-1 squares)
     partners: list[tuple[int, ...]]
@@ -224,7 +226,6 @@ def _compile(
                 # a path of L + 2 elements holds one of L, so none is longer
                 break
     return _Compiled(
-        order=elems,
         palettes=palettes,
         partners=[tuple(p) for p in partners],
         longer=[tuple(l) for l in longer],
@@ -232,7 +233,7 @@ def _compile(
 
 
 def _count_symmetric(cp: _Compiled) -> int:
-    m = len(cp.order)
+    m = len(cp.palettes)
     if m == 0:
         return 1
     # remap colors to 0..K-1 so that "used" is a flat list
@@ -313,38 +314,27 @@ def enumerate_colorings(
     lists: ListAssignment,
     regime: Regime,
 ) -> Iterator[dict[ElementId, Color]]:
-    """Yield every valid coloring in deterministic backtracking order."""
-    cp = _compile(g, lists, regime, None)
-    m = len(cp.order)
-    if m == 0:
-        yield {}
-        return
-    colors: list[int] = [0] * m
+    """Yield every valid coloring, in lexicographic order of its colors.
 
-    def square_here(d: int, c: int) -> bool:
-        for p in cp.partners[d]:
-            if colors[p] == c:
-                return True
-        colors[d] = c
-        for pairs in cp.longer[d]:
-            for a, b in pairs:
-                if colors[a] != colors[b]:
-                    break
-            else:
-                return True
-        return False
-
-    def rec(d: int) -> Iterator[dict[ElementId, Color]]:
-        for c in cp.palettes[d]:
-            if square_here(d, c):
-                continue
-            colors[d] = c
-            if d == m - 1:
-                yield dict(zip(cp.order, colors))
-            else:
-                yield from rec(d + 1)
-
-    yield from rec(0)
+    The elements of ``relevant_elements`` are colored one at a time, and
+    a partial coloring is dropped as soon as the square search finds a
+    square in it, which is exact because a square among colored elements
+    survives every extension.  Nothing is shared with the counter's
+    compiled tables, so the two are independent routes to the count.
+    """
+    elems = relevant_elements(g, regime)
+    palettes = [sorted(lists.colors(x), reverse=True) for x in elems]
+    stack: list[dict[ElementId, Color]] = [{}]
+    while stack:
+        partial = stack.pop()
+        d = len(partial)
+        if d == len(elems):
+            yield partial
+            continue
+        for c in palettes[d]:  # descending, so the least color pops first
+            grown = {**partial, elems[d]: c}
+            if find_violating_path(g, grown, regime) is None:
+                stack.append(grown)
 
 
 def count_colorings_bruteforce(

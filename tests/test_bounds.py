@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from thuecolor.bounds import (
+    BOUNDS,
     SERIES_PRESETS,
     SeriesBound,
-    bound_names,
     ceil_snapped,
     certify_delta_inequalities,
     eval_bound,
@@ -62,7 +62,7 @@ def test_geometric_sums_domain():
 
 
 def test_bound_names_and_values():
-    assert set(bound_names()) == {
+    assert set(BOUNDS) == {
         "thue_choice",
         "thue_choice_refined",
         "weak_total",

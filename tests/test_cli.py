@@ -161,6 +161,34 @@ def test_ratio_subcommand(capsys, tmp_path):
     assert json.loads(out)["holds"] is False
 
 
+def _strict_json(text):
+    """Parse JSON, refusing the NaN and Infinity constants that it lacks."""
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_ratio_without_colorings_prints_null(capsys, tmp_path):
+    # six pairwise vv-adjacent vertices need six colors, so 4 give
+    # C(G) = C(G - x) = 0 and an infinite ratio
+    gpath = tmp_path / "k6vv.json"
+    gpath.write_text(json.dumps({
+        "vertices": list(range(6)),
+        "edges": [],
+        "extra_vv": [[u, w] for u in range(6) for w in range(u + 1, 6)],
+    }))
+    code, out, _ = invoke(
+        capsys, "ratio", str(gpath), "--claim", "path", "--delta", "2",
+        "--element", "v:0", "--uniform", "4",
+    )
+    assert code == 0
+    payload = _strict_json(out)
+    assert payload["C_G"] == payload["C_Gminus"] == "0"
+    assert payload["ratio"] is None
+    assert payload["holds"] is True
+
+
 def test_paths_subcommand(capsys, tmp_path):
     gpath = write_graph(tmp_path, complete_graph(4))
     code, out, _ = invoke(
@@ -254,6 +282,16 @@ def test_optimize_presets(capsys):
     code, _, err = invoke(capsys, "optimize", "banana")
     assert code == 2
     assert "unknown preset" in err
+
+
+@pytest.mark.parametrize("tol", ["1e73", "1e100", "1e300"])
+@pytest.mark.parametrize("preset", ["path", "weak-total"])
+def test_optimize_huge_tol_stays_interior(capsys, preset, tol):
+    # the bracket search halves from the tolerance down to its floor, so a
+    # huge tolerance still finds the interior minimum
+    code, out, _ = invoke(capsys, "optimize", preset, "--tol", tol)
+    assert code == 0
+    assert "interior" not in _strict_json(out)
 
 
 def test_certify(capsys):

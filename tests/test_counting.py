@@ -33,7 +33,7 @@ from thuecolor.graphs import (
     walk,
 )
 from thuecolor.growth import check_growth, claim_family
-from thuecolor.repetition import Regime, find_violating_path, is_valid, relevant_elements
+from thuecolor.repetition import Regime, is_valid, relevant_elements
 
 
 def _rand_graph(rnd, n_max=5):
@@ -276,13 +276,13 @@ def test_orders_deeper_than_the_recursion_limit_are_rejected(monkeypatch):
     deepest = from_standard(50, [])
     lists = ListAssignment.uniform(deepest, 1)
     assert count_colorings(deepest, lists, Regime.VERTEX) == 1
-    assert len(list(enumerate_colorings(deepest, lists, Regime.VERTEX))) == 1
     g = from_standard(51, [])
     one = ListAssignment.uniform(g, 1)
-    g52 = from_standard(52, [])  # its violations at v51 enumerate the colorings of g
+    # the enumerator keeps an explicit stack, so the limit does not apply
+    assert list(enumerate_colorings(g, one, Regime.VERTEX)) == [{vertex(i): 0 for i in range(51)}]
+    g52 = from_standard(52, [])  # its violations at v51 count the colorings of g
     calls = [
         lambda: count_colorings(g, one, Regime.VERTEX),
-        lambda: list(enumerate_colorings(g, one, Regime.VERTEX)),
         lambda: count_violations(g52, ListAssignment.uniform(g52, 1), Regime.VERTEX, vertex(51)),
         # the path claim needs four colors
         lambda: check_growth(g, ListAssignment.uniform(g, 4), claim_family("path").at(2), vertex(0)),
@@ -300,6 +300,21 @@ def test_enumerate_colorings():
         {vertex(0): 1, vertex(1): 2},
         {vertex(0): 2, vertex(1): 1},
     ]
+
+
+def test_enumerator_shares_no_tables_with_the_counter(monkeypatch):
+    # a walker that misses every path of 4 or more elements corrupts the
+    # counter's tables; the enumerator searches the coloring itself
+    real_walk = thuecolor.counting.walk
+
+    def short_walk(g, kind, length, **kw):
+        return real_walk(g, kind, length, **kw) if length < 4 else iter(())
+
+    monkeypatch.setattr(thuecolor.counting, "walk", short_walk)
+    g = path_graph(4)
+    two = ListAssignment.uniform(g, 2)
+    assert count_colorings(g, two, Regime.VERTEX) == 2  # 0101 and 1010 slip through
+    assert list(enumerate_colorings(g, two, Regime.VERTEX)) == []
 
 
 def test_enumerate_agrees_with_count_and_validates():
@@ -329,28 +344,6 @@ def test_json_round_trips():
         lists_from_json({"uniform": -1}, g)
 
 
-def _reference_count(g, lists, regime, order=None):
-    """Backtracking without palette symmetry: every color is tried at every
-    element, and a branch is cut by the independent square search.  The
-    prefix before x is square-free, so any square found passes through x."""
-    elems = relevant_elements(g, regime) if order is None else list(order)
-    coloring = {}
-
-    def rec(d):
-        if d == len(elems):
-            return 1
-        x = elems[d]
-        total = 0
-        for c in sorted(lists.colors(x)):
-            coloring[x] = c
-            if find_violating_path(g, coloring, regime) is None:
-                total += rec(d + 1)
-        coloring.pop(x, None)
-        return total
-
-    return rec(0)
-
-
 def _shared_lists(rnd, g, pool):
     """Per-element lists drawn from one pool: a common core plus extras, so
     color classes are neither all singletons nor a single class."""
@@ -372,7 +365,7 @@ def test_counts_match_reference_backtracker():
         got = count_colorings(g, L, regime)
         if got > 10**5 or len(relevant_elements(g, regime)) > 9:
             continue
-        assert got == _reference_count(g, L, regime)
+        assert got == sum(1 for _ in enumerate_colorings(g, L, regime))
         order = relevant_elements(g, regime)
         rnd.shuffle(order)
         assert count_colorings(g, L, regime, order=order) == got
@@ -386,7 +379,7 @@ def test_uniform_sparse_palette_matches_reference():
     L = ListAssignment.from_map({x: [-5, 7, 10**9] for x in g.elements})
     for regime in Regime:
         got = count_colorings(g, L, regime)
-        assert got == _reference_count(g, L, regime)
+        assert got == sum(1 for _ in enumerate_colorings(g, L, regime))
         order = relevant_elements(g, regime)[::-1]
         assert count_colorings(g, L, regime, order=order) == got
 
