@@ -8,7 +8,8 @@ edge palettes are shared, and mixed-path squares of odd half-length
 
 ``find_violating_path`` does not enumerate paths: it grows them one
 element per level, grouped by the color word they spell, so a single
-pass covers every half-length.
+pass covers every half-length; ``find_squares_through`` runs the same levels
+on the ball around a few elements.
 """
 from __future__ import annotations
 
@@ -112,7 +113,7 @@ def find_violating_path(
         searches.append((kind, adj, _split_ends(classes.values())))
     while searches:
         for kind, adj, groups in searches:
-            hit = _least_square(adj, groups)
+            hit = min(_squares(adj, groups), default=None)
             if hit is not None:
                 return Path(kind, hit)
         searches = [
@@ -141,9 +142,8 @@ def _next_groups(adj, coloring: Coloring, groups):
     return out
 
 
-def _least_square(adj, groups):
-    """The least canonical A + B over the pairs of one group that form a square."""
-    best = None
+def _squares(adj, groups):
+    """Every A + B over the pairs of one group that form a square, canonical."""
     for grp in groups:
         starts: dict[ElementId, list[tuple[ElementId, ...]]] = {}
         for p in grp:
@@ -151,9 +151,34 @@ def _least_square(adj, groups):
         for a in grp:
             for y in adj[a[-1]]:
                 for b in starts.get(y, ()):
-                    if a[0] < b[-1] and set(a).isdisjoint(b) and (best is None or a + b < best):
-                        best = a + b
-    return best
+                    if a[0] < b[-1] and set(a).isdisjoint(b):
+                        yield a + b
+
+
+def find_squares_through(
+    g: GeneralizedGraph, coloring: Coloring, regime: Regime, half: int, near: set[ElementId]
+) -> list[Path]:
+    """Every square path of half-length ``half`` with an element in ``near``.
+
+    Such a path lies within 2 * half - 1 steps of ``near``, so the levels of
+    ``find_violating_path`` run on that ball, with the neighbour tables cut to it.
+    """
+    out = []
+    for kind in regime.path_kinds:
+        adj = g._neighbor_table(kind)  # isolated elements lie on no square
+        ball = frontier = {x for x in near if x in adj and x in coloring}
+        for _ in range(2 * half - 1):
+            frontier = {y for x in frontier for y in adj[x] if y in coloring} - ball
+            ball |= frontier
+        cut = {x: tuple(y for y in adj[x] if y in ball) for x in ball}
+        classes: dict[Color, list[tuple[ElementId, ...]]] = {}
+        for x in ball:
+            classes.setdefault(coloring[x], []).append((x,))
+        groups = _split_ends(classes.values())
+        for _ in range(half - 1):
+            groups = _next_groups(cut, coloring, groups)
+        out.extend(Path(kind, s) for s in _squares(cut, groups) if not near.isdisjoint(s))
+    return out
 
 
 def require_total(g: GeneralizedGraph, coloring: Coloring, regime: Regime) -> None:

@@ -5,6 +5,17 @@ shortest violating square path and redraw the colors of its second half
 (the later elements in the path's canonical orientation).  Runs are
 reproducible: all randomness flows from a 64-bit seed through PCG64
 streams split with SeedSequence.
+
+Each step redraws the least square by ``Path.sort_key`` (half, then kind,
+then elements), the one a full ``find_violating_path`` scan returns.  For
+h <= KEPT_HALF the loop keeps the current squares of half h.  Lazily,
+shortest half first, it swaps those through elements redrawn since the last
+refresh for what ``find_squares_through`` finds there, and it scans the
+whole graph only when every set is empty.  This is exact:
+
+* a square that avoids the redrawn elements keeps its colors;
+* a square of half h through a redrawn element lies within 2h - 1 steps of it;
+* keys order by length first, so the least kept square is the least square.
 """
 from __future__ import annotations
 
@@ -15,9 +26,11 @@ import numpy as np
 
 from .counting import ListAssignment
 from .graphs import ElementId, GeneralizedGraph, from_standard
-from .repetition import Color, Regime, find_violating_path, relevant_elements
+from .repetition import (Color, Regime, find_squares_through, find_violating_path,
+                         relevant_elements)
 
 RNG_ALGORITHM = "pcg64"
+KEPT_HALF = 3  # squares of half up to this are kept current between steps
 
 
 @dataclass(frozen=True)
@@ -27,6 +40,7 @@ class ResampleRun:
     steps_used: int
     outcome: str  # "success" or "exhausted"
     coloring: dict[ElementId, Color] | None
+    halves: tuple[int, ...]  # halves[i]: steps that redrew a square of half i + 1
     algorithm: str = RNG_ALGORITHM
 
 
@@ -40,6 +54,8 @@ def resample_color(
     """Run the resampling colorer until valid or ``max_steps`` resamples."""
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     elems = relevant_elements(g, regime)
     palettes = {}
     for x in elems:
@@ -50,15 +66,34 @@ def resample_color(
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     coloring = {x: palettes[x][int(rng.integers(len(palettes[x])))] for x in elems}
     steps = 0
+    halves: list[int] = []
+    live: list[set[tuple]] = [set() for _ in range(KEPT_HALF)]  # sort keys, half h + 1
+    stale = [set(elems) for _ in range(KEPT_HALF)]  # redrawn since live[h] was refreshed
     while True:
-        violation = find_violating_path(g, coloring, regime)
-        if violation is None:
-            return ResampleRun(seed, max_steps, steps, "success", dict(coloring))
+        for h in range(KEPT_HALF):
+            if stale[h]:
+                live[h] = {key for key in live[h] if stale[h].isdisjoint(key[2])}
+                live[h].update(p.sort_key() for p in
+                               find_squares_through(g, coloring, regime, h + 1, stale[h]))
+                stale[h].clear()
+            if live[h]:
+                violation = min(live[h])[2]
+                break
+        else:
+            found = find_violating_path(g, coloring, regime)
+            if found is None:
+                return ResampleRun(seed, max_steps, steps, "success", dict(coloring),
+                                   tuple(halves))
+            violation = found.elements
         if steps >= max_steps:
-            return ResampleRun(seed, max_steps, steps, "exhausted", None)
-        half = len(violation.elements) // 2
-        for x in violation.elements[half:]:
+            return ResampleRun(seed, max_steps, steps, "exhausted", None, tuple(halves))
+        half = len(violation) // 2
+        halves.extend([0] * (half - len(halves)))
+        halves[half - 1] += 1
+        for x in violation[half:]:
             coloring[x] = palettes[x][int(rng.integers(len(palettes[x])))]
+        for redrawn in stale:
+            redrawn.update(violation[half:])
         steps += 1
 
 

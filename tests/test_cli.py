@@ -333,6 +333,16 @@ def test_color_rejects_negative_colors(capsys, tmp_path):
     assert err == "error: --colors must be nonnegative\n"
 
 
+def test_color_rejects_negative_seed(capsys, tmp_path):
+    gpath = write_graph(tmp_path, path_graph(6))
+    code, out, err = invoke(
+        capsys, "color", gpath, "--regime", "vertex", "--colors", "4", "--seed", "-1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must be nonnegative\n"
+
+
 def test_color_rejects_colors_with_lists(capsys, tmp_path):
     gpath = write_graph(tmp_path, path_graph(6))
     lists = tmp_path / "lists.json"

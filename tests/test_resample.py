@@ -5,14 +5,16 @@ import json
 import numpy as np
 import pytest
 
+import thuecolor.resample
 from thuecolor.bounds import ceil_snapped, eval_bound
 from thuecolor.counting import ListAssignment
-from thuecolor.graphs import cycle_graph, path_graph, vertex
+from thuecolor.graphs import complete_graph, cycle_graph, delete, path_graph, vertex
 from thuecolor.growth import claim_family
-from thuecolor.repetition import Regime, is_valid
+from thuecolor.repetition import Regime, find_violating_path, is_valid, relevant_elements
 from thuecolor.resample import (
     RNG_ALGORITHM,
     RandomGraphSpec,
+    ResampleRun,
     resample_color,
     success_profile,
 )
@@ -120,6 +122,89 @@ def test_large_cubic_graph_succeeds():
     assert is_valid(g, run.coloring, Regime.VERTEX)
 
 
+def _reference_resample(g, lists, regime, seed, max_steps):
+    """The resampler with a full scan on every step, plus the halves tally."""
+    elems = relevant_elements(g, regime)
+    palettes = {x: tuple(sorted(lists.colors(x))) for x in elems}
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    coloring = {x: palettes[x][int(rng.integers(len(palettes[x])))] for x in elems}
+    steps = 0
+    halves = []
+    while True:
+        violation = find_violating_path(g, coloring, regime)
+        if violation is None:
+            return ResampleRun(seed, max_steps, steps, "success", dict(coloring), tuple(halves))
+        if steps >= max_steps:
+            return ResampleRun(seed, max_steps, steps, "exhausted", None, tuple(halves))
+        half = len(violation.elements) // 2
+        halves.extend([0] * (half - len(halves)))
+        halves[half - 1] += 1
+        for x in violation.elements[half:]:
+            coloring[x] = palettes[x][int(rng.integers(len(palettes[x])))]
+        steps += 1
+
+
+@pytest.mark.parametrize(
+    "build, k, regime, seeds, max_steps",
+    [
+        (lambda: path_graph(100), 3, Regime.VERTEX, (0, 1), 600),
+        (lambda: path_graph(100), 4, Regime.VERTEX, (0, 1, 2), 100_000),
+        # weak-total squares of one length tie on the kind rank
+        (lambda: cycle_graph(60), 8, Regime.WEAK_TOTAL, (0, 1, 2), 100_000),
+        (lambda: _cubic(200, 200), 9, Regime.VERTEX, (0,), 100_000),
+        (lambda: cycle_graph(12), 5, Regime.STRONG_TOTAL, (0, 1, 2), 100_000),
+        (lambda: complete_graph(5), 7, Regime.EDGE, (0,), 2_000),
+    ],
+    ids=["P100-k3", "P100-k4", "C60-weak-total", "cubic200", "C12-strong-total", "K5-edge"],
+)
+def test_matches_the_full_scan_loop(build, k, regime, seeds, max_steps):
+    g = build()
+    lists = ListAssignment.uniform(g, k)
+    for seed in seeds:
+        run = resample_color(g, lists, regime, seed, max_steps)
+        assert run == _reference_resample(g, lists, regime, seed, max_steps)
+
+
+def test_matches_the_full_scan_loop_on_random_graphs():
+    # seeded gnp graphs with seeded deletions and lists of 3 to 6 colors
+    # drawn from 1..7, in every regime; a third of the runs exhaust their
+    # budget, and some steps redraw squares of half 4 to 7
+    regimes = list(Regime)
+    for trial in range(100):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([7, trial])))
+        g = RandomGraphSpec("gnp", int(rng.integers(8, 20)), p=0.2).sample(rng)
+        elements = sorted(g.elements)
+        cut = rng.random(len(elements)) < 0.1
+        g = delete(g, [x for x, c in zip(elements, cut) if c])
+        lists = ListAssignment.from_map({
+            x: {int(c) + 1 for c in rng.choice(7, size=int(rng.integers(3, 7)), replace=False)}
+            for x in sorted(g.elements)
+        })
+        regime = regimes[trial % 4]
+        run = resample_color(g, lists, regime, trial, 300)
+        assert run == _reference_resample(g, lists, regime, trial, 300)
+
+
+def test_halves_bound_the_full_scans(monkeypatch):
+    # a full scan runs once per step that redraws a square of half 4 or
+    # more, plus the last scan that finds none
+    scans = []
+    full_scan = thuecolor.resample.find_violating_path
+
+    def counted(*args):
+        scans.append(1)
+        return full_scan(*args)
+
+    monkeypatch.setattr(thuecolor.resample, "find_violating_path", counted)
+    g = path_graph(100)
+    for seed in range(3):
+        scans.clear()
+        run = resample_color(g, ListAssignment.uniform(g, 4), Regime.VERTEX, seed, 100_000)
+        assert run.outcome == "success"
+        assert sum(run.halves) == run.steps_used
+        assert len(scans) <= 1 + sum(run.halves[3:])
+
+
 def test_zero_step_budget():
     g = path_graph(2)
     lists = ListAssignment.from_map({vertex(0): {1}, vertex(1): {1}})
@@ -132,6 +217,8 @@ def test_input_validation():
     g = path_graph(2)
     with pytest.raises(ValueError, match="max_steps"):
         resample_color(g, ListAssignment.uniform(g, 4), Regime.VERTEX, seed=0, max_steps=-1)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        resample_color(g, ListAssignment.uniform(g, 4), Regime.VERTEX, seed=-1, max_steps=10)
     bad = ListAssignment.from_map({vertex(0): {1}, vertex(1): set()})
     with pytest.raises(ValueError, match="empty color list"):
         resample_color(g, bad, Regime.VERTEX, seed=0, max_steps=10)
