@@ -1,13 +1,17 @@
 """Exact counting and enumeration of square-free list colorings.
 
 Counts are exact Python integers produced by backtracking over the
-regime's elements in a fixed order.  After each assignment the search
-prunes exactly when some fully colored square path passes through the
-newly colored element; validity is hereditary under deletion, so every
-invalid branch is cut at the first element that completes a square.
-Candidate square paths are precomputed per instance and indexed by the
-element of theirs that is assigned last, which makes the per-node check
-a handful of integer comparisons.
+regime's elements in a fixed order.  Validity is hereditary under
+deletion, so every invalid branch is cut at the element that completes
+its first square: the square's last element in the order.  Candidate
+square paths are precomputed per instance and indexed by that element
+d, each as the position of d's echo partner and the square's other index
+pairs.  A square whose other pairs already agree forbids exactly one
+color of d, its partner's; this is the paper's one forbidden color per
+path.  At each node the counter collects these banned colors once and
+skips them, so a color costs one set lookup however many squares end at
+d.  At the last element no color is tried: the count there is the size
+of its list less the number of banned colors in it.
 
 The counter does not visit every coloring.  Whether a coloring is
 square-free depends only on which elements share a color.  So at depth
@@ -17,11 +21,11 @@ swapping them maps the valid completions of one choice onto those of
 the other.  The counter groups each palette by that membership once per
 depth, descends into one unused color per group and multiplies the
 subtree count by the number of unused colors in the group; colors in
-use are tried one by one.  An unused color cannot complete a square at
-d, whose echo partner would need the same color, so it is not checked.
-Each coloring lies in exactly one subtree and is counted once, by an
-integer weight, so the count stays exact.  Uniform lists give one group
-per depth.
+use are tried one by one unless banned.  A banned color is the color of
+an earlier element, so an unused color is never banned and every unused
+color of a group has the same subtree.  Each coloring lies in exactly
+one subtree and is counted once, by an integer weight, so the count
+stays exact.  Uniform lists give one group per depth.
 
 Two references share no table with the counter, for cross-validation
 on small instances: the enumerator is the search-cut route, which
@@ -175,11 +179,10 @@ _CALLER_FRAMES = 100
 @dataclass
 class _Compiled:
     palettes: list[tuple[int, ...]]
-    # positions whose color must differ from position d (half-length-1 squares)
-    partners: list[tuple[int, ...]]
-    # longer candidate squares: per position, tuples of (a, b) index pairs that
-    # all agree exactly when the path is a square
-    longer: list[tuple[tuple[tuple[int, int], ...], ...]]
+    # squares[d]: the candidate squares whose last element is d, each as
+    # (p, pairs): p is the position of d's echo partner and pairs are the
+    # square's other index pairs, all before d; a half-1 square is (p, ())
+    squares: list[tuple[tuple[int, tuple[tuple[int, int], ...]], ...]]
 
 
 def _compile(
@@ -203,8 +206,7 @@ def _compile(
         )
     pos = {x: d for d, x in enumerate(elems)}
     palettes = [tuple(sorted(lists.colors(x))) for x in elems]
-    partners: list[dict[int, None]] = [dict() for _ in elems]
-    longer: list[dict[tuple, None]] = [dict() for _ in elems]
+    squares: list[dict[tuple, None]] = [dict() for _ in elems]
     for kind in regime.path_kinds:
         domain = g.domain(kind)
         for length in range(2, len(domain) + 1, 2):
@@ -213,23 +215,17 @@ def _compile(
             for seq in walk(g, kind, length):
                 found = True
                 idx = [pos[x] for x in seq]
-                last = max(idx)
-                if half == 1:
-                    partners[last].setdefault(idx[0] + idx[1] - last)
-                else:
-                    pairs = sorted(
-                        ((idx[k], idx[k + half]) for k in range(half)),
-                        key=lambda ab: -max(ab),
-                    )
-                    longer[last].setdefault(tuple(pairs))
+                # each pair as (later, earlier), the pair of the last element
+                # first; a path and its reverse give the same entry
+                pairs = sorted(
+                    (max(ab), min(ab)) for ab in zip(idx[:half], idx[half:])
+                )[::-1]
+                (last, p), rest = pairs[0], tuple(pairs[1:])
+                squares[last].setdefault((p, rest))
             if not found:
                 # a path of L + 2 elements holds one of L, so none is longer
                 break
-    return _Compiled(
-        palettes=palettes,
-        partners=[tuple(p) for p in partners],
-        longer=[tuple(l) for l in longer],
-    )
+    return _Compiled(palettes=palettes, squares=[tuple(s) for s in squares])
 
 
 def _count_symmetric(cp: _Compiled) -> int:
@@ -251,13 +247,22 @@ def _count_symmetric(cp: _Compiled) -> int:
         classes[d] = list(groups.values())
     colors = [0] * m
     used = [False] * len(index)
-    partners = cp.partners
-    longer = cp.longer
+    squares = cp.squares
     last_d = m - 1
+    last_list = {index[c] for c in cp.palettes[last_d]}
 
     def rec(d: int) -> int:
-        prt = partners[d]
-        lng = longer[d]
+        # the colors that complete a square ending at d: a square whose
+        # other pairs all agree forbids one color, its echo partner's
+        banned = set()
+        for p, pairs in squares[d]:
+            for a, b in pairs:
+                if colors[a] != colors[b]:
+                    break
+            else:
+                banned.add(colors[p])
+        if d == last_d:
+            return len(last_list) - len(banned & last_list)
         total = 0
         for cls in classes[d]:
             fresh = 0
@@ -266,29 +271,15 @@ def _count_symmetric(cp: _Compiled) -> int:
                     if not fresh:
                         rep = c
                     fresh += 1
-                    continue
-                ok = True
-                for p in prt:
-                    if colors[p] == c:
-                        ok = False
-                        break
-                if ok:
+                elif c not in banned:
                     colors[d] = c
-                    for pairs in lng:
-                        for a, b in pairs:
-                            if colors[a] != colors[b]:
-                                break
-                        else:
-                            ok = False
-                            break
-                    if ok:
-                        total += rec(d + 1) if d < last_d else 1
+                    total += rec(d + 1)
             if fresh:
-                # every unused color of the class has the same subtree; a
-                # fresh color cannot complete a square, so no check is made
+                # every unused color of the class has the same subtree, and
+                # a banned color is some partner's, so in use
                 colors[d] = rep
                 used[rep] = True
-                total += fresh * (rec(d + 1) if d < last_d else 1)
+                total += fresh * rec(d + 1)
                 used[rep] = False
         return total
 

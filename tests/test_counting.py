@@ -108,6 +108,10 @@ def test_larger_frozen_counts():
     # strong total on P2 with 32 colors
     g = path_graph(2)
     assert count_colorings(g, ListAssignment.uniform(g, 32), Regime.STRONG_TOTAL) == 29760
+    # weak total on C6 with 12 colors, as counted by the counter that tried
+    # every used color against every square
+    g = cycle_graph(6)
+    assert count_colorings(g, ListAssignment.uniform(g, 12), Regime.WEAK_TOTAL) == 2_838_578_240_520
 
 
 def test_ternary_square_free_words():
@@ -406,3 +410,84 @@ def test_closed_forms():
     g = path_graph(3)
     k = 1000
     assert count_colorings(g, ListAssignment.uniform(g, k), Regime.VERTEX) == k * (k - 1) ** 2
+
+
+def _assert_counts(g, lists, regime, order, want):
+    assert count_colorings(g, lists, regime, order=order) == want
+    assert count_colorings_bruteforce(g, lists, regime) == want
+    assert sum(1 for _ in enumerate_colorings(g, lists, regime)) == want
+
+
+def test_banned_colors_at_the_last_element():
+    # P4's middle edge colored last: both neighbouring edges ban color 1,
+    # once between them
+    g = path_graph(4)
+    order = [edge(0), edge(2), edge(1)]
+    lists = ListAssignment.from_map({edge(0): [1], edge(2): [1], edge(1): [1, 2]})
+    _assert_counts(g, lists, Regime.EDGE, order, 1)
+    lists = ListAssignment.from_map({edge(0): [1, 2], edge(2): [1, 3], edge(1): [1, 2, 3, 4]})
+    _assert_counts(g, lists, Regime.EDGE, order, 9)
+    # strong total on P3 with e1 last: v2 and e0 are never echo partners,
+    # so both may hold 5, and each bans it at e1 (e1 v2 and e0 e1); v1 e1,
+    # v0 e0 v1 e1 and e0 v1 e1 v2 are the other squares ending at e1
+    g = path_graph(3)
+    order = [vertex(0), vertex(1), vertex(2), edge(0), edge(1)]
+    lists = ListAssignment.from_map({
+        vertex(0): [1, 5], vertex(1): [2, 3], vertex(2): [5, 1],
+        edge(0): [5, 3], edge(1): [1, 2, 3, 5, 6],
+    })
+    _assert_counts(g, lists, Regime.STRONG_TOTAL, order, 18)
+    # v0's color is banned at v1 but missing from v1's list
+    g = path_graph(2)
+    lists = ListAssignment.from_map({vertex(0): [3], vertex(1): [1, 2]})
+    _assert_counts(g, lists, Regime.VERTEX, None, 2)
+
+
+def test_last_element_edge_cases():
+    # one element: its whole list, nothing banned
+    g = path_graph(1)
+    _assert_counts(g, ListAssignment.from_map({vertex(0): [5, 6, 7]}), Regime.VERTEX, None, 3)
+    # an empty last list, with a color banned at it
+    g = path_graph(3)
+    lists = ListAssignment.from_map({vertex(0): [1, 2], vertex(1): [1, 2], vertex(2): []})
+    _assert_counts(g, lists, Regime.VERTEX, None, 0)
+    # the last element lies on no candidate square
+    g = from_standard(3, [(0, 1)])
+    lists = ListAssignment.from_map({vertex(0): [1, 2], vertex(1): [1, 2], vertex(2): [1, 2, 3]})
+    _assert_counts(g, lists, Regime.VERTEX, None, 6)
+
+
+def _square_free_word_counts(lists):
+    """Words w with w[i] in lists[i] and no factor uu, counted per length.
+    A square in a word that has none must end at the new letter."""
+    counts = [0] * len(lists)
+    stack = [()]
+    while stack:
+        word = stack.pop()
+        n = len(word)
+        if n == len(lists):
+            continue
+        for c in lists[n]:
+            grown = word + (c,)
+            if any(grown[-2 * h:-h] == grown[-h:] for h in range(1, (n + 1) // 2 + 1)):
+                continue
+            counts[n] += 1
+            stack.append(grown)
+    return counts
+
+
+def test_random_list_batch_matches_square_free_words():
+    # growth-sweep's batch shape: 4-of-8 lists on P1..P8, each prefix
+    # counted on its own path
+    rnd = random.Random(17)
+    for _ in range(20):
+        chosen = [rnd.sample(range(8), 4) for _ in range(8)]
+        counts = [
+            count_colorings(
+                path_graph(k),
+                ListAssignment.from_map({vertex(i): chosen[i] for i in range(k)}),
+                Regime.VERTEX,
+            )
+            for k in range(1, 9)
+        ]
+        assert counts == _square_free_word_counts(chosen)
