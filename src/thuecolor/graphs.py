@@ -20,8 +20,9 @@ Every path enumeration in the package goes through one generator,
 ``walk``: all paths of a kind and length, or those through one element
 (``through``).  Two searches do not enumerate paths:
 ``count_paths_containing`` counts the paths through every element from
-directed subtree counts, and the square search of ``repetition`` grows
-paths by color word.
+directed subtree counts, taking the last two levels of each path from
+free-neighbour counts so that no prefix longer than L - 3 is visited,
+and the square search of ``repetition`` grows paths by color word.
 """
 from __future__ import annotations
 
@@ -357,10 +358,11 @@ def count_paths_containing(
     reversal sends position p to L-1-p.  Hence the paths through x number
     half the directed sequences' credits over all positions, which equal
     twice the credits at positions p < L//2 plus, for odd L, those at the
-    middle position L//2.  Only those positions are credited, and the
-    completions of a prefix one element short of L are its unused
-    neighbours, so no full-length path is visited.  Elements on no path
-    get no entry.
+    middle position L//2.  Only those positions are credited, and for
+    L >= 4 none of them lies in the last two, so those two levels are
+    counted in closed form from each element's number of neighbours
+    outside the prefix: no prefix longer than L - 3 is visited.  Lengths
+    2 and 3 come from degrees alone.  Elements on no path get no entry.
     """
     domain = sorted(g.domain(kind))
     index = {x: i for i, x in enumerate(domain)}
@@ -384,30 +386,52 @@ def _directed_credits(nbrs: list[tuple[int, ...]], length: int) -> list[int]:
     """Per element index: twice the directed paths of ``length`` elements
     that hold it at a position p < length//2, plus those that hold it at
     the middle of an odd length.
+
+    Lengths 2 and 3 come from degrees.  Beyond them the depth-first
+    search pushes prefixes of at most ``length - 3`` elements and keeps
+    ``free[z]``, the number of neighbours of z outside the prefix.  An
+    unused neighbour y of the end of a prefix that long takes position
+    ``length - 3``, and each unused neighbour z of y completes it
+    ``free[z] - 1`` ways: y is a neighbour of z outside the prefix but
+    cannot follow z.  Positions ``length - 2`` and ``length - 1`` carry
+    no weight once ``length >= 4``, so they are never visited.
     """
     half, odd = divmod(length, 2)
     weight = [2] * half + [odd] + [0] * (length - half - 1)
-    deepest = length - 2  # prefixes ending here count their unused neighbours
-    if deepest == 0:
-        return [2 * len(nb) for nb in nbrs]
+    deg = [len(nb) for nb in nbrs]
+    if length == 2:
+        return [2 * d for d in deg]
+    if length == 3:
+        # an end a starts sum(deg b - 1) directed paths a b c over its
+        # neighbours b; a middle b holds deg b * (deg b - 1)
+        return [
+            2 * (sum(deg[b] for b in nb) - d) + d * (d - 1)
+            for nb, d in zip(nbrs, deg)
+        ]
+    closed = length - 3  # prefixes this long count their last two levels
     credit = [0] * len(nbrs)
     used = [False] * len(nbrs)
+    free = deg[:]
     for s, nb in enumerate(nbrs):
         used[s] = True
+        for z in nb:
+            free[z] -= 1
         path, stack, completions = [s], [iter(nb)], [0]
         while stack:
             for y in stack[-1]:
                 if used[y]:
                     continue
-                if len(path) == deepest:
+                if len(path) == closed:
                     c = 0
                     for z in nbrs[y]:
                         if not used[z]:
-                            c += 1
-                    credit[y] += weight[deepest] * c
+                            c += free[z] - 1
+                    credit[y] += weight[closed] * c
                     completions[-1] += c
                     continue
                 used[y] = True
+                for z in nbrs[y]:
+                    free[z] -= 1
                 path.append(y)
                 stack.append(iter(nbrs[y]))
                 completions.append(0)
@@ -415,6 +439,8 @@ def _directed_credits(nbrs: list[tuple[int, ...]], length: int) -> list[int]:
             else:
                 x = path.pop()
                 used[x] = False
+                for z in nbrs[x]:
+                    free[z] += 1
                 stack.pop()
                 c = completions.pop()
                 credit[x] += weight[len(path)] * c

@@ -222,6 +222,64 @@ def test_count_paths_containing_matches_enumeration():
     assert tally == Counter(g.vertices) and set(tally.values()) == {1}
 
 
+def _walk_tally(g, kind, length):
+    expected = Counter()
+    for seq in walk(g, kind, length):
+        expected.update(seq)
+    return expected
+
+
+def test_count_paths_containing_on_deleted_graphs():
+    """The tally against ``walk`` on seeded deletions of random graphs.
+
+    Deletion leaves vv and ee pairs that the edge ends do not imply and
+    elements with no neighbour, which the free-neighbour counts of the
+    tally's last two levels must handle like any other element.
+    """
+    rnd = random.Random(2718)
+    lengths = range(1, 10)
+    seen = Counter()
+    for _ in range(30):
+        g = _rand_graph(rnd, 6)
+        els = sorted(g.elements)
+        g = delete(g, rnd.sample(els, rnd.randint(1, len(els) // 3)))
+        obj = graph_to_json(g)
+        seen.update(key for key in ("extra_vv", "extra_ee") if key in obj)
+        for kind in PathKind:
+            seen["isolated"] += any(not g.neighbors(x, kind) for x in g.domain(kind))
+            tally = count_paths_containing(g, kind, lengths)
+            for length in lengths:
+                assert tally[length] == _walk_tally(g, kind, length), (kind, length)
+                assert 0 not in tally[length].values()
+    assert seen["extra_vv"] and seen["extra_ee"] and seen["isolated"]
+
+
+@pytest.mark.parametrize(
+    "g, length, expected",
+    [
+        # length 3 from degrees alone
+        (path_graph(5), 3, [1, 2, 3, 2, 1]),
+        # the paw: triangle 0 1 2 with 3 hung on 0
+        (from_standard(4, [(0, 1), (1, 2), (0, 2), (0, 3)]), 3, [5, 4, 4, 2]),
+        # length 4 pushes only the start; its neighbour is credited in closed form
+        (path_graph(5), 4, [1, 2, 2, 2, 1]),
+        (from_standard(4, [(0, 1), (1, 2), (0, 2), (0, 3)]), 4, [2, 2, 2, 2]),
+        (complete_graph(4), 4, [12, 12, 12, 12]),
+        # length 5: the middle is the closed level's credited position
+        (path_graph(5), 5, [1, 1, 1, 1, 1]),
+        (complete_graph(5), 5, [60] * 5),
+        # three legs of two at vertex 2: it is the middle of all three paths
+        (from_standard(7, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6)]), 5,
+         [2, 2, 3, 2, 2, 2, 2]),
+    ],
+)
+def test_count_paths_containing_closed_levels(g, length, expected):
+    """Hand counts of vertex paths at the lengths the closed levels cover."""
+    tally = count_paths_containing(g, PathKind.VERTEX, [length])[length]
+    assert tally == Counter({vertex(i): c for i, c in enumerate(expected)})
+    assert tally == _walk_tally(g, PathKind.VERTEX, length)
+
+
 # each regime is checked once, under the last of its path kinds
 REGIMES_ENDING_IN = {
     PathKind.VERTEX: (Regime.VERTEX,),
