@@ -24,16 +24,14 @@ IWT_LISTS = 4.25
 IWT_VERTEX_RATE = 1.62
 IWT_EDGE_RATE = 4.2
 
-_SNAP_EPS = 1e-9
 
-
-def ceil_snapped(x: float, eps: float = _SNAP_EPS) -> int:
-    """Ceiling that forgives float noise just below an integer.
+def ceil_snapped(x: float) -> int:
+    """Ceiling that forgives float noise of up to 1e-9 above an integer.
 
     Formula values that are mathematically integral can land a few ulp
     above the integer; plain ceil would then overshoot by one.
     """
-    return math.ceil(x - eps)
+    return math.ceil(x - 1e-9)
 
 
 def sum_geometric(x):
@@ -281,6 +279,15 @@ def root_cubic(tol: float = 1e-12) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class RateCheck:
+    """One inequality lhs >= rate: its left side, lhs - rate, and whether it holds."""
+
+    lhs: float
+    margin: float
+    holds: bool
+
+
+@dataclass(frozen=True)
 class CertifyReport:
     """Inequalities certifying the (4.25, 1.62, 4.2) constant triple.
 
@@ -291,12 +298,8 @@ class CertifyReport:
     """
 
     delta: int
-    edge_rate_lhs: float
-    edge_rate_margin: float
-    edge_rate_holds: bool
-    vertex_rate_lhs: float
-    vertex_rate_margin: float
-    vertex_rate_holds: bool
+    edge_rate: RateCheck
+    vertex_rate: RateCheck
     holds: bool
 
 
@@ -306,15 +309,6 @@ def certify_delta_inequalities(delta: int) -> CertifyReport:
     lists, v_rate, e_rate = IWT_LISTS, IWT_VERTEX_RATE, IWT_EDGE_RATE
     edge_lhs = lists - (2.0 / delta) * sum_weighted_geometric(1.0 / v_rate)
     vertex_lhs = lists - sum_weighted_geometric(1.0 / math.sqrt(v_rate * e_rate))
-    edge_ok = edge_lhs >= e_rate
-    vertex_ok = vertex_lhs >= v_rate
-    return CertifyReport(
-        delta=delta,
-        edge_rate_lhs=edge_lhs,
-        edge_rate_margin=edge_lhs - e_rate,
-        edge_rate_holds=edge_ok,
-        vertex_rate_lhs=vertex_lhs,
-        vertex_rate_margin=vertex_lhs - v_rate,
-        vertex_rate_holds=vertex_ok,
-        holds=edge_ok and vertex_ok,
-    )
+    edge = RateCheck(edge_lhs, edge_lhs - e_rate, edge_lhs >= e_rate)
+    vertex = RateCheck(vertex_lhs, vertex_lhs - v_rate, vertex_lhs >= v_rate)
+    return CertifyReport(delta, edge, vertex, edge.holds and vertex.holds)

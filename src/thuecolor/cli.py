@@ -16,6 +16,7 @@ import io
 import json
 import re
 import sys
+from dataclasses import asdict
 
 from . import bounds as bounds_mod
 from . import corpus as corpus_mod
@@ -146,6 +147,9 @@ def _cmd_verify(args) -> dict:
         raise ValueError("verify needs either --sequence or a graph with --coloring")
     g = _load_graph(args.graph)
     coloring = _load(args.coloring, "coloring", coloring_from_json)
+    for x in coloring:
+        if x not in g:
+            raise ValueError(f"bad coloring in {args.coloring}: element {x} not in graph")
     regime = _parse_regime(args.regime)
     require_total(g, coloring, regime)
     violation = find_violating_path(g, coloring, regime)
@@ -184,7 +188,7 @@ def _cmd_ratio(args) -> dict:
         "C_Gminus": str(report.count_without),
         # C(G - x) = 0 makes the ratio infinite, which JSON cannot hold
         "ratio": report.ratio if report.count_without else None,
-        "bound": report.claim.growth_for(x.kind),
+        "bound": claim.growth,
         "holds": report.holds,
     }
     if not report.holds:
@@ -263,20 +267,7 @@ def _cmd_optimize(args) -> dict:
 
 def _cmd_certify(args) -> dict:
     report = bounds_mod.certify_delta_inequalities(args.delta)
-    payload = {
-        "delta": report.delta,
-        "edge_rate": {
-            "lhs": report.edge_rate_lhs,
-            "margin": report.edge_rate_margin,
-            "holds": report.edge_rate_holds,
-        },
-        "vertex_rate": {
-            "lhs": report.vertex_rate_lhs,
-            "margin": report.vertex_rate_margin,
-            "holds": report.vertex_rate_holds,
-        },
-        "holds": report.holds,
-    }
+    payload = asdict(report)
     if not report.holds:
         raise PropertyViolation(payload)
     return payload
@@ -307,15 +298,7 @@ def _cmd_corpus(args) -> dict:
             checks += 1
             if not rec.holds:
                 violations.append(
-                    {
-                        "graph": rec.graph,
-                        "element": str(rec.element),
-                        "kind": rec.kind.value,
-                        "total_form": rec.total_form,
-                        "half_length": rec.half_length,
-                        "count": rec.count,
-                        "bound": rec.bound,
-                    }
+                    {**asdict(rec), "element": str(rec.element), "kind": rec.kind.value}
                 )
     payload = {
         "graphs": len(members),

@@ -13,10 +13,9 @@ import numpy as np
 from .graphs import (
     ElementId,
     GeneralizedGraph,
+    PATH_BOUNDS,
     PathKind,
-    applicable_path_kinds,
     complete_graph,
-    count_paths_bound,
     count_paths_containing,
     cycle_graph,
     from_standard,
@@ -100,7 +99,9 @@ def path_dominance_records(
     }
     records = []
     for x in sorted(g.elements):
-        for kind, total_form in applicable_path_kinds(x.kind):
+        for (x_kind, kind, total_form), bound in PATH_BOUNDS.items():
+            if x_kind is not x.kind:
+                continue
             for i in range(1, max_half + 1):
                 records.append(
                     DominanceRecord(
@@ -110,7 +111,7 @@ def path_dominance_records(
                         total_form=total_form,
                         half_length=i,
                         count=tallies[kind][2 * i].get(x, 0),
-                        bound=count_paths_bound(delta, x.kind, kind, i, total_form),
+                        bound=bound(delta, i),
                     )
                 )
     return records

@@ -114,6 +114,8 @@ def lists_from_json(obj, g: GeneralizedGraph) -> ListAssignment:
         if not isinstance(entry, Mapping):
             raise ValueError(f"list entry must be an object: {entry!r}")
         elem = element_from_json(entry.get("element"))
+        if elem not in g:
+            raise ValueError(f"list for element {elem} not in graph")
         colors = entry.get("colors")
         if not isinstance(colors, list) or not all(is_int(c) for c in colors):
             raise ValueError(f"colors for {elem} must be an integer array")

@@ -31,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
 class ElementKind(IntEnum):
@@ -449,6 +449,20 @@ def _directed_credits(nbrs: list[tuple[int, ...]], length: int) -> list[int]:
     return credit
 
 
+# Closed-form upper bounds on the number of paths of 2i elements through an
+# element at maximum degree Delta, keyed by (element kind, path kind,
+# total_form); the order is the order of the corpus sweep's records.
+# total_form selects the coarser vertex-path bound used when vertices and
+# edges are colored together.
+PATH_BOUNDS: dict[tuple[ElementKind, PathKind, bool], Callable[[int, int], int]] = {
+    (ElementKind.VERTEX, PathKind.VERTEX, False): lambda d, i: i * d * (d - 1) ** (2 * i - 2),
+    (ElementKind.VERTEX, PathKind.VERTEX, True): lambda d, i: i * d ** (2 * i - 1),
+    (ElementKind.VERTEX, PathKind.MIXED, False): lambda d, i: i * d**i,
+    (ElementKind.EDGE, PathKind.EDGE, False): lambda d, i: 2 * i * d ** (2 * i - 1),
+    (ElementKind.EDGE, PathKind.MIXED, False): lambda d, i: 2 * i * d ** (i - 1),
+}
+
+
 def count_paths_bound(
     delta: int,
     x_kind: ElementKind,
@@ -458,32 +472,19 @@ def count_paths_bound(
 ) -> int:
     """Upper bound on the number of length-2i paths of ``kind`` through an element.
 
-    ``total_form`` selects the coarser vertex-path bound i*Delta^(2i-1)
-    used when vertices and edges are colored together; the default
-    vertex-path bound is i*Delta*(Delta-1)^(2i-2).
+    Reads ``PATH_BOUNDS``; ``total_form`` counts only for vertex paths.
     """
     if delta < 1:
         raise ValueError("bound requires maximum degree at least 1")
     if i < 1:
         raise ValueError("half-length must be positive")
-    if x_kind is ElementKind.VERTEX and kind is PathKind.VERTEX:
-        if total_form:
-            return i * delta ** (2 * i - 1)
-        return i * delta * (delta - 1) ** (2 * i - 2)
-    if x_kind is ElementKind.VERTEX and kind is PathKind.MIXED:
-        return i * delta**i
-    if x_kind is ElementKind.EDGE and kind is PathKind.MIXED:
-        return 2 * i * delta ** (i - 1)
-    if x_kind is ElementKind.EDGE and kind is PathKind.EDGE:
-        return 2 * i * delta ** (2 * i - 1)
-    raise ValueError(f"no bound for {kind.value} paths through a {x_kind.name.lower()}")
-
-
-def applicable_path_kinds(x_kind: ElementKind) -> tuple[tuple[PathKind, bool], ...]:
-    """(path kind, total_form) combinations bounded for the element kind."""
-    if x_kind is ElementKind.VERTEX:
-        return ((PathKind.VERTEX, False), (PathKind.VERTEX, True), (PathKind.MIXED, False))
-    return ((PathKind.EDGE, False), (PathKind.MIXED, False))
+    try:
+        bound = PATH_BOUNDS[x_kind, kind, total_form and kind is PathKind.VERTEX]
+    except KeyError:
+        raise ValueError(
+            f"no bound for {kind.value} paths through a {x_kind.name.lower()}"
+        ) from None
+    return bound(delta, i)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .bounds import BOUNDS, CBRT2, CBRT4, IWT_EDGE_RATE, IWT_VERTEX_RATE, ceil_snapped
+from .bounds import BOUNDS, CBRT2, CBRT4, ceil_snapped
 from .counting import ListAssignment, count_colorings
 from .graphs import ElementId, ElementKind, GeneralizedGraph, delete
 from .repetition import Regime, relevant_elements
@@ -28,13 +28,6 @@ class GrowthClaim:
     list_size: int
     growth: float
     element_kind: ElementKind | None = None  # None: any element kind
-    growth_edge: float | None = None  # sharper rate when x is an edge
-    desk_scale: bool = True
-
-    def growth_for(self, x_kind: ElementKind) -> float:
-        if x_kind is ElementKind.EDGE and self.growth_edge is not None:
-            return self.growth_edge
-        return self.growth
 
 
 @dataclass(frozen=True)
@@ -47,8 +40,6 @@ class ClaimFamily:
     min_delta: int
     list_size: Callable[[int], int]
     growth: Callable[[int], float]
-    growth_edge: Callable[[int], float] | None = None
-    desk_scale: bool = True
 
     def at(self, delta: int) -> GrowthClaim:
         if delta < self.min_delta:
@@ -62,18 +53,11 @@ class ClaimFamily:
             list_size=self.list_size(delta),
             growth=self.growth(delta),
             element_kind=self.element_kind,
-            growth_edge=None if self.growth_edge is None else self.growth_edge(delta),
-            desk_scale=self.desk_scale,
         )
 
 
 def _thue_choice_growth(d: int) -> float:
     return d * (d - 1) * (1.0 + CBRT2 * d ** (-1 / 3))
-
-
-def _total_lists(d: int) -> int:
-    gamma = 3.0 / CBRT2 + 8.0 * d ** (-1 / 3)
-    return ceil_snapped(d * d * (1.0 + gamma * d ** (-1 / 3)))
 
 
 def _total_growth(d: int) -> float:
@@ -108,24 +92,13 @@ CLAIM_FAMILIES: dict[str, ClaimFamily] = {
             list_size=BOUNDS["weak_total"].evaluate,
             growth=lambda d: 3.0 * d,
         ),
-        # high-degree refinement; counts at Delta >= 300 are far beyond
-        # exhaustive checking, see bounds.certify_delta_inequalities
-        ClaimFamily(
-            name="improved_weak_total",
-            regime=Regime.WEAK_TOTAL,
-            element_kind=None,
-            min_delta=300,
-            list_size=BOUNDS["improved_weak_total"].evaluate,
-            growth=lambda d: IWT_VERTEX_RATE * d,
-            growth_edge=lambda d: IWT_EDGE_RATE * d,
-            desk_scale=False,
-        ),
         ClaimFamily(
             name="total_thue",
             regime=Regime.STRONG_TOTAL,
             element_kind=None,
             min_delta=2,
-            list_size=_total_lists,
+            # the total_thue bound without its final + 1
+            list_size=lambda d: ceil_snapped(BOUNDS["total_thue"].evaluate(d) - 1.0),
             growth=_total_growth,
         ),
     )
@@ -162,11 +135,6 @@ def check_growth(
     The comparison C(g) >= rate * C(g minus x) is made in exact rational
     arithmetic against the binary value of the rate.
     """
-    if not claim.desk_scale:
-        raise ValueError(
-            f"claim {claim.name} is not desk-scale; its constants are certified "
-            "by bounds.certify_delta_inequalities instead"
-        )
     if x not in g:
         raise ValueError(f"element not in graph: {x}")
     if claim.element_kind is not None and x.kind is not claim.element_kind:
@@ -184,14 +152,13 @@ def check_growth(
         raise ValueError(
             f"smallest list has {min_size} colors, claim needs {claim.list_size}"
         )
-    rate = claim.growth_for(x.kind)
     lhs = count_colorings(g, lists, claim.regime)
     without = count_colorings(delete(g, {x}), lists, claim.regime)
     if without == 0:
         holds = True
         ratio = math.inf
     else:
-        holds = Fraction(lhs, without) >= Fraction(rate)
+        holds = Fraction(lhs, without) >= Fraction(claim.growth)
         ratio = lhs / without
     return GrowthReport(
         claim=claim,

@@ -184,7 +184,7 @@ def test_criterion_09_large_degree_certification():
     elapsed = time.perf_counter() - start
     ok = (
         all(passes.values())
-        and not at_100.edge_rate_holds
+        and not at_100.edge_rate.holds
         and not at_100.holds
         and elapsed < 1.0
     )
@@ -193,7 +193,7 @@ def test_criterion_09_large_degree_certification():
         "large-degree certification",
         ok,
         f"holds at 300/301/1000/10^6, edge rate fails at 100 "
-        f"(margin {at_100.edge_rate_margin:.4f}), {elapsed:.3f}s",
+        f"(margin {at_100.edge_rate.margin:.4f}), {elapsed:.3f}s",
     )
 
 

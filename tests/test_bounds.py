@@ -189,19 +189,19 @@ def test_root_cubic():
 def test_certify_frozen_values():
     rep = certify_delta_inequalities(300)
     assert rep.holds
-    assert math.isclose(rep.edge_rate_margin, 0.004484911550467707, abs_tol=1e-15)
-    assert math.isclose(rep.vertex_rate_margin, 3.266072632257533e-05, abs_tol=1e-15)
+    assert math.isclose(rep.edge_rate.margin, 0.004484911550467707, abs_tol=1e-15)
+    assert math.isclose(rep.vertex_rate.margin, 3.266072632257533e-05, abs_tol=1e-15)
     bad = certify_delta_inequalities(100)
     assert not bad.holds
-    assert bad.vertex_rate_holds  # the vertex inequality never depends on Delta
-    assert not bad.edge_rate_holds
-    assert math.isclose(bad.edge_rate_margin, -0.08654526534859563, abs_tol=1e-12)
+    assert bad.vertex_rate.holds  # the vertex inequality never depends on Delta
+    assert not bad.edge_rate.holds
+    assert math.isclose(bad.edge_rate.margin, -0.08654526534859563, abs_tol=1e-12)
 
 
 def test_certify_monotone_in_delta():
-    margins = [certify_delta_inequalities(d).edge_rate_margin for d in (100, 200, 300, 1000, 10**6)]
+    margins = [certify_delta_inequalities(d).edge_rate.margin for d in (100, 200, 300, 1000, 10**6)]
     assert margins == sorted(margins)
-    vm = {certify_delta_inequalities(d).vertex_rate_margin for d in (100, 300, 10**6)}
+    vm = {certify_delta_inequalities(d).vertex_rate.margin for d in (100, 300, 10**6)}
     assert len(vm) == 1
     with pytest.raises(ValueError):
         certify_delta_inequalities(0)

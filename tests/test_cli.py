@@ -423,6 +423,62 @@ def test_corpus_bytes_are_pinned(capsys, options):
     assert hashlib.sha256(out.encode()).hexdigest() == CORPUS_STDOUT_SHA256[options]
 
 
+# (argv, exit code, sha256 of stdout) of small calls whose payloads are
+# built from closed forms; graph files are named relative to the working
+# directory because `ratio` prints the path it was given
+_K4_PATHS = ["paths", "k4.json", "--length", "4", "--total-form", "--through"]
+CALL_STDOUT_SHA256 = {
+    "certify/1": (["certify", "--delta", "1"], 1,
+                  "1a9047be7441139f07070f40842f982da6c13cab5254acfd435452c1b669aea5"),
+    "certify/100": (["certify", "--delta", "100"], 1,
+                    "c4659e0a8770a2594b23e195834963a16a6e181974131df36dd3460679be768f"),
+    "certify/300": (["certify", "--delta", "300"], 0,
+                    "3f9ea8e134f26d712d1b8644af675ffbd1b15dd31389c14da96dddf9abc3a148"),
+    "certify/10**6": (["certify", "--delta", "1000000"], 0,
+                      "3843563e19075b077786a8da51029169952dc5e3dce9420f31840966bd644aa2"),
+    "ratio/weak_total/v0": (
+        ["ratio", "p3.json", "--claim", "weak_total", "--delta", "2", "--element", "v:0",
+         "--uniform", "12"], 0,
+        "dd46df2a7ea261f57320832204079af0953d7a862638a0dc78fec296dc082f64"),
+    "ratio/weak_total/e0": (
+        ["ratio", "p3.json", "--claim", "weak_total", "--delta", "2", "--element", "e:0",
+         "--uniform", "12"], 0,
+        "905c66be1fb7c4ad596f850116e4db882fe05d1e9ba68ea311e1f1bea1ca51a0"),
+    "ratio/total_thue/v0": (
+        ["ratio", "p2.json", "--claim", "total_thue", "--delta", "2", "--element", "v:0",
+         "--uniform", "32"], 0,
+        "6594e3e57df507ea5acd101cba7b1323f2a981b0f1792d2580fc094486abf068"),
+    "ratio/total_thue/e0": (
+        ["ratio", "p2.json", "--claim", "total_thue", "--delta", "2", "--element", "e:0",
+         "--uniform", "32"], 0,
+        "2956a718a21f6416fab8ac35f0c67e4592f706c48653d77d8625135535c066b0"),
+    "paths/K4/v0/vertex": (_K4_PATHS + ["v:0", "--kind", "vertex"], 0,
+                           "4e0922d85c7fefafb5418a78e76776f4b654d84e8670c216c3969d490abcfd81"),
+    "paths/K4/v0/edge": (_K4_PATHS + ["v:0", "--kind", "edge"], 0,
+                         "94f9822449ef46056a6faef82b11341eb0657cc7c875b44b03f06be26de4068f"),
+    "paths/K4/v0/mixed": (_K4_PATHS + ["v:0", "--kind", "mixed"], 0,
+                          "bb0c3a14046dc55381ccbe6f8da3a1a1a93a5f38536dd9e3d54d6fd2b95670ab"),
+    "paths/K4/e0/vertex": (_K4_PATHS + ["e:0", "--kind", "vertex"], 0,
+                           "94f9822449ef46056a6faef82b11341eb0657cc7c875b44b03f06be26de4068f"),
+    "paths/K4/e0/edge": (_K4_PATHS + ["e:0", "--kind", "edge"], 0,
+                         "3713f1699ef1e274aaab7011764b1799dfaf55065a223ccde752f85c13d2720d"),
+    "paths/K4/e0/mixed": (_K4_PATHS + ["e:0", "--kind", "mixed"], 0,
+                          "11ac6c7b86965327e6bc2d20c7c84b37a38d359b569883234f1395043c0e1d89"),
+}
+
+
+@pytest.mark.parametrize("case", list(CALL_STDOUT_SHA256))
+def test_call_bytes_are_pinned(capsys, tmp_path, monkeypatch, case):
+    argv, expected_code, digest = CALL_STDOUT_SHA256[case]
+    for name, g in (("p2.json", path_graph(2)), ("p3.json", path_graph(3)),
+                    ("k4.json", complete_graph(4))):
+        write_graph(tmp_path, g, name)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = invoke(capsys, *argv)
+    assert code == expected_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_parse_error_reporting(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{\n!finis\n}")
@@ -441,10 +497,23 @@ def test_parse_error_reporting(capsys, tmp_path):
     assert err.startswith(f"error: cannot read {bad}: not UTF-8 text")
 
 
+def _entry(kind, index):
+    return {"element": {"kind": kind, "index": index}, "color": 1, "colors": [1]}
+
+
 @pytest.mark.parametrize("command", ["count", "verify"])
 @pytest.mark.parametrize(
     "content",
-    ["[1]", '[{"element": {"kind": "v", "index": 0}, "color": 1, "colors": [1]}, "x"]', None],
+    [
+        "[1]",
+        '[{"element": {"kind": "v", "index": 0}, "color": 1, "colors": [1]}, "x"]',
+        None,
+        # well-formed entries, one for an element the graph lacks
+        pytest.param(json.dumps([_entry("v", 0), _entry("v", 1), _entry("e", 0), _entry("e", 99)]),
+                     id="absent-e99"),
+        pytest.param(json.dumps([_entry("v", 0), _entry("v", 1), _entry("e", 0), _entry("v", 9)]),
+                     id="absent-v9"),
+    ],
 )
 def test_bad_input_files_exit_two(capsys, tmp_path, command, content):
     gpath = write_graph(tmp_path, path_graph(2))

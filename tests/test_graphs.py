@@ -10,9 +10,9 @@ from thuecolor.corpus import builtin_corpus
 from thuecolor.graphs import (
     ElementKind,
     GeneralizedGraph,
+    PATH_BOUNDS,
     Path,
     PathKind,
-    applicable_path_kinds,
     complete_graph,
     count_paths_bound,
     count_paths_containing,
@@ -359,15 +359,18 @@ def test_count_paths_bound_rejects_unsupported():
 
 
 def test_applicable_path_kinds():
-    assert applicable_path_kinds(ElementKind.VERTEX) == (
+    def bounded(x_kind):
+        return [(kind, total) for xk, kind, total in PATH_BOUNDS if xk is x_kind]
+
+    assert bounded(ElementKind.VERTEX) == [
         (PathKind.VERTEX, False),
         (PathKind.VERTEX, True),
         (PathKind.MIXED, False),
-    )
-    assert applicable_path_kinds(ElementKind.EDGE) == (
+    ]
+    assert bounded(ElementKind.EDGE) == [
         (PathKind.EDGE, False),
         (PathKind.MIXED, False),
-    )
+    ]
 
 
 def test_json_round_trip_plain_and_deleted():

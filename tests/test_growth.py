@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from thuecolor.bounds import eval_bound
+from thuecolor.bounds import ceil_snapped, eval_bound
 from thuecolor.counting import ListAssignment, count_colorings
 from thuecolor.graphs import (
     complete_graph,
@@ -51,32 +51,29 @@ def test_family_scaling():
         claim_family("nonsense")
 
 
+def _total_thue_lists(d: int) -> int:
+    """Delta^2 (1 + gamma Delta^(-1/3)) with gamma = 3/2^(1/3) + 8 Delta^(-1/3).
+
+    The total_thue list size written apart from ``bounds._total_thue``.
+    """
+    gamma = 3.0 / CBRT2 + 8.0 * d ** (-1 / 3)
+    return ceil_snapped(d * d * (1.0 + gamma * d ** (-1 / 3)))
+
+
 @pytest.mark.parametrize(
-    "family, bound",
+    "family, reference, top",
     [
-        ("thue_choice", "thue_choice_refined"),
-        ("weak_total", "weak_total"),
-        ("improved_weak_total", "improved_weak_total"),
+        pytest.param("thue_choice", lambda d: eval_bound("thue_choice_refined", d), 201,
+                     id="thue_choice-thue_choice_refined"),
+        pytest.param("weak_total", lambda d: eval_bound("weak_total", d), 201,
+                     id="weak_total-weak_total"),
+        pytest.param("total_thue", _total_thue_lists, 100_000, id="total_thue-reference"),
     ],
 )
-def test_family_list_sizes_are_the_bounds(family, bound):
+def test_family_list_sizes_are_the_bounds(family, reference, top):
     fam = claim_family(family)
-    for d in range(fam.min_delta, fam.min_delta + 200):
-        assert fam.at(d).list_size == eval_bound(bound, d)
-
-
-def test_improved_family_is_reference_only():
-    c = claim_family("improved_weak_total").at(300)
-    assert c.list_size == 1275
-    assert math.isclose(c.growth, 486.0)
-    assert c.growth_edge == 1260.0
-    assert not c.desk_scale
-    assert c.growth_for(ElementKind.VERTEX) == c.growth
-    assert c.growth_for(ElementKind.EDGE) == 1260.0
-    # claims without a separate edge rate reuse the vertex rate
-    w = claim_family("weak_total").at(2)
-    assert w.growth_edge is None
-    assert w.growth_for(ElementKind.EDGE) == w.growth
+    for d in range(fam.min_delta, top + 1):
+        assert fam.at(d).list_size == reference(d)
 
 
 def test_check_growth_on_paths():
@@ -111,9 +108,6 @@ def test_check_growth_weak_total_frozen():
 
 def test_check_growth_rejects():
     g = path_graph(3)
-    lists12 = ListAssignment.uniform(g, 12)
-    with pytest.raises(ValueError, match="certif"):
-        check_growth(g, lists12, claim_family("improved_weak_total").at(300), vertex(1))
     claim = claim_family("path").at(2)
     lists4 = ListAssignment.uniform(g, 4)
     with pytest.raises(ValueError, match="not in graph"):
@@ -224,7 +218,6 @@ def test_families_registry():
         "path",
         "thue_choice",
         "weak_total",
-        "improved_weak_total",
         "total_thue",
     }
     for fam in CLAIM_FAMILIES.values():
