@@ -7,11 +7,15 @@ certification), 2 for any input the program cannot accept (usage
 errors, parse errors and out-of-range values), which ``run`` decides in
 one place from the ``ValueError`` or ``OverflowError`` that such input
 raises, before it writes anything to stdout.
+
+The parser is built on the first ``run`` and reused; ``run`` keeps no other
+state between calls, and each call reads its input files anew.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import re
@@ -315,6 +319,7 @@ def _cmd_corpus(args) -> dict:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built once per process, on the first run
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thuecolor",

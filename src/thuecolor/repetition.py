@@ -8,8 +8,8 @@ edge palettes are shared, and mixed-path squares of odd half-length
 
 ``find_violating_path`` does not enumerate paths: it grows them one
 element per level, grouped by the color word they spell, so a single
-pass covers every half-length; ``find_squares_through`` runs the same levels
-on the ball around a few elements.
+pass covers every half-length (``square_levels``); ``find_squares_through``
+runs the same levels on the ball around a few elements.
 """
 from __future__ import annotations
 
@@ -100,9 +100,15 @@ def find_violating_path(
     so a group whose paths all end at one element is dropped, and the
     groups die out on a square-free coloring.
     """
+    levels = square_levels(g, coloring, regime)
+    return next((min(squares, key=Path.sort_key) for squares in levels if squares), None)
+
+
+def square_levels(g: GeneralizedGraph, coloring: Coloring, regime: Regime):
+    """Every square path of half 1, 2, ...: one list per level, while groups remain."""
     colored = g.elements.intersection(coloring)
-    searches = []
-    for kind in regime.path_kinds:  # in kind order, which breaks ties
+    level = []
+    for kind in regime.path_kinds:
         domain = g.domain(kind) & colored
         adj = g._neighbor_table(kind)
         if adj.keys() != domain:  # uncolored or isolated elements
@@ -110,18 +116,14 @@ def find_violating_path(
         classes: dict[Color, list[tuple[ElementId, ...]]] = {}
         for x in domain:
             classes.setdefault(coloring[x], []).append((x,))
-        searches.append((kind, adj, _split_ends(classes.values())))
-    while searches:
-        for kind, adj, groups in searches:
-            hit = min(_squares(adj, groups), default=None)
-            if hit is not None:
-                return Path(kind, hit)
-        searches = [
+        level.append((kind, adj, _split_ends(classes.values())))
+    while level:
+        yield [Path(kind, s) for kind, adj, groups in level for s in _squares(adj, groups)]
+        level = [
             (kind, adj, nxt)
-            for kind, adj, groups in searches
+            for kind, adj, groups in level
             if (nxt := _next_groups(adj, coloring, groups))
         ]
-    return None
 
 
 def _split_ends(groups):

@@ -8,10 +8,11 @@ streams split with SeedSequence.
 
 Each step redraws the least square by ``Path.sort_key`` (half, then kind,
 then elements), the one a full ``find_violating_path`` scan returns.  For
-h <= KEPT_HALF the loop keeps the current squares of half h.  Lazily,
-shortest half first, it swaps those through elements redrawn since the last
-refresh for what ``find_squares_through`` finds there, and it scans the
-whole graph only when every set is empty.  This is exact:
+h <= KEPT_HALF the loop keeps the current squares of half h, seeded by one
+``square_levels`` pass up to the first half with a square.  Lazily, shortest
+half first, it swaps those through elements redrawn since the last refresh
+for what ``find_squares_through`` finds there, and it scans the whole graph
+only when every set is empty.  This is exact:
 
 * a square that avoids the redrawn elements keeps its colors;
 * a square of half h through a redrawn element lies within 2h - 1 steps of it;
@@ -27,7 +28,7 @@ import numpy as np
 from .counting import ListAssignment
 from .graphs import ElementId, GeneralizedGraph, from_standard
 from .repetition import (Color, Regime, find_squares_through, find_violating_path,
-                         relevant_elements)
+                         relevant_elements, square_levels)
 
 RNG_ALGORITHM = "pcg64"
 KEPT_HALF = 3  # squares of half up to this are kept current between steps
@@ -69,6 +70,12 @@ def resample_color(
     halves: list[int] = []
     live: list[set[tuple]] = [set() for _ in range(KEPT_HALF)]  # sort keys, half h + 1
     stale = [set(elems) for _ in range(KEPT_HALF)]  # redrawn since live[h] was refreshed
+    levels = square_levels(g, coloring, regime)
+    for h in range(KEPT_HALF):  # seed up to the first half with a square
+        live[h] = {p.sort_key() for p in next(levels, [])}
+        stale[h].clear()
+        if live[h]:
+            break
     while True:
         for h in range(KEPT_HALF):
             if stale[h]:

@@ -479,6 +479,48 @@ def test_call_bytes_are_pinned(capsys, tmp_path, monkeypatch, case):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_importing_the_cli_builds_no_parser():
+    src = os.path.dirname(os.path.dirname(thuecolor.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import thuecolor.cli as c; print(c._build_parser.cache_info().misses)"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0\n"
+
+
+def test_parser_reuse_keeps_no_state(capsys, tmp_path, monkeypatch):
+    for name, g in (("p2.json", path_graph(2)), ("p3.json", path_graph(3)),
+                    ("k4.json", complete_graph(4))):
+        write_graph(tmp_path, g, name)
+    (tmp_path / "bad-lists.json").write_text("[1]")
+    monkeypatch.chdir(tmp_path)
+    bounds = ["bounds", "--name", "weak_total", "--delta", "7"]
+    calls = [
+        (["nosuchcommand"], 2), (["--help"], 0), ([], 2),
+        (["count", "p3.json", "--regime", "vertex", "--lists", "bad-lists.json"], 2),
+        (["verify", "--sequence", "[1, 2, 1, 2]"], 1),
+        (["--pretty"] + bounds, 0), (bounds, 0),
+    ]
+    pinned = len(calls)
+    calls += [(argv, code) for argv, code, _ in CALL_STDOUT_SHA256.values()]
+    # each call alone on a freshly built parser, in reverse order, so that
+    # no call follows the one it follows below
+    alone = {}
+    for i in reversed(range(len(calls))):
+        thuecolor.cli._build_parser.cache_clear()
+        alone[i] = invoke(capsys, *calls[i][0])
+    thuecolor.cli._build_parser.cache_clear()
+    for i, (argv, code) in enumerate(calls):
+        assert invoke(capsys, *argv) == alone[i], argv
+        assert alone[i][0] == code, argv
+    assert thuecolor.cli._build_parser.cache_info().misses == 1
+    assert alone[pinned - 1][1] == '{"delta": 7, "name": "weak_total", "value": 42}\n'
+    for i, (_, _, digest) in enumerate(CALL_STDOUT_SHA256.values(), start=pinned):
+        assert hashlib.sha256(alone[i][1].encode()).hexdigest() == digest
+
+
 def test_parse_error_reporting(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{\n!finis\n}")

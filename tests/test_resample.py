@@ -205,6 +205,55 @@ def test_halves_bound_the_full_scans(monkeypatch):
         assert len(scans) <= 1 + sum(run.halves[3:])
 
 
+def _spy_calls(monkeypatch):
+    """Record, in order, the searches that resample_color makes; the seeding
+    pass is recorded with the number of levels it was asked for."""
+    calls = []
+    levels = thuecolor.resample.square_levels
+
+    def seeding(*args):
+        calls.append(["square_levels", 0])
+        for level in levels(*args):
+            calls[-1][1] += 1
+            yield level
+
+    monkeypatch.setattr(thuecolor.resample, "square_levels", seeding)
+    for name in ("find_squares_through", "find_violating_path"):
+        search = getattr(thuecolor.resample, name)
+        monkeypatch.setattr(thuecolor.resample, name,
+                            lambda *args, _s=search, _n=name: calls.append(_n) or _s(*args))
+    return calls
+
+
+def _forced_path(word):
+    g = path_graph(len(word))
+    return g, ListAssignment.from_map({vertex(i): {c} for i, c in enumerate(word)})
+
+
+@pytest.mark.parametrize("word, outcome, steps, halves", [
+    ((1, 2, 3, 1, 3, 2, 1, 2), "success", 0, ()),  # square-free
+    ((1, 2, 3, 4, 1, 2, 3, 4), "exhausted", 1, (0, 0, 0, 1)),  # one square, of half 4
+])
+def test_start_without_short_squares(monkeypatch, word, outcome, steps, halves):
+    calls = _spy_calls(monkeypatch)
+    g, lists = _forced_path(word)
+    run = resample_color(g, lists, Regime.VERTEX, seed=0, max_steps=steps)
+    assert (run.outcome, run.steps_used, run.halves) == (outcome, steps, halves)
+    # the three kept halves come from levels 1 to 3 of one pass, and one
+    # full scan follows it; no ball search runs before the first step
+    assert calls[:2] == [["square_levels", 3], "find_violating_path"]
+    assert calls[2:] == ([] if steps == 0 else
+                         ["find_squares_through"] * 3 + ["find_violating_path"])
+
+
+def test_start_with_a_short_square_seeds_up_to_it(monkeypatch):
+    calls = _spy_calls(monkeypatch)
+    g, lists = _forced_path((1, 2, 1, 2, 3, 1, 3, 2))
+    run = resample_color(g, lists, Regime.VERTEX, seed=0, max_steps=0)
+    assert (run.outcome, run.halves) == ("exhausted", ())
+    assert calls == [["square_levels", 2]]  # 1 2 1 2 has half 2; no scan
+
+
 def test_zero_step_budget():
     g = path_graph(2)
     lists = ListAssignment.from_map({vertex(0): {1}, vertex(1): {1}})
