@@ -211,7 +211,7 @@ def _cmd_paths(args) -> dict:
         raise ValueError("--length must be positive")
     paths = enumerate_paths_through(g, x, kind, args.length)
     bound = None
-    if args.length % 2 == 0 and g.max_degree >= 1:
+    if args.length % 2 == 0:
         try:
             bound = count_paths_bound(
                 g.max_degree, x.kind, kind, args.length // 2, args.total_form

@@ -357,8 +357,9 @@ def count_violations(
     deletion identity
     ``count(g) = |lists(x)| * count(g minus x) - count_violations``.
     It is computed from that identity by two counts.  This is exact
-    because ``delete`` keeps every relation pair between survivors, so
-    the paths of g minus x are exactly the paths of g that avoid x.  A
+    because ``delete`` changes presence only and keeps every edge's ends,
+    so every relation pair between survivors persists and the paths of g
+    minus x are exactly the paths of g that avoid x.  A
     coloring of g is therefore valid exactly when it extends a valid
     coloring of g minus x by a color that completes no square through
     x, and the extensions that do complete one number the difference.

@@ -1,10 +1,12 @@
 """Generalized graphs whose vertices and edges are independently deletable.
 
-Adjacency is carried by three explicit relations (vertex-vertex,
-edge-edge, vertex-edge incidence) that persist when elements are
-deleted: removing a vertex leaves its two edges adjacent, removing an
-edge leaves its endpoints adjacent.  Simple paths of three kinds are
-enumerated over these relations:
+A graph is the ends of every edge it was built with plus the elements
+still present, and deleting elements changes presence only.  The three
+relations (vertex-vertex, edge-edge, vertex-edge incidence) are derived
+from the ends restricted to present elements, so they persist when
+elements are deleted: removing a vertex leaves its two edges adjacent,
+removing an edge leaves its endpoints adjacent.  Simple paths of three
+kinds are enumerated over these relations:
 
 * vertex paths: consecutive vertices in the vertex-vertex relation,
 * edge paths: consecutive edges in the edge-edge relation (repeated
@@ -31,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 
 class ElementKind(IntEnum):
@@ -64,44 +66,68 @@ class PathKind(Enum):
 _KIND_RANK = {PathKind.VERTEX: 0, PathKind.EDGE: 1, PathKind.MIXED: 2}
 
 
-def _canonical_pair(a: ElementId, b: ElementId) -> tuple[ElementId, ElementId]:
-    return (a, b) if a <= b else (b, a)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneralizedGraph:
     """Immutable generalized graph.
 
-    ``vv_adj`` and ``ee_adj`` hold unordered pairs stored with the
-    smaller element first; ``ve_inc`` holds (vertex, edge) pairs.
+    It stores its present ``vertices`` and ``edges``, the ``ends`` of every
+    edge it was built with (its end vertices in sorted order, present or
+    deleted, never changed by deletion) and, for graphs read from JSON
+    only, the extra ``vv`` and ``ee`` pairs that their ends do not imply.
+    The three relations are derived from these by one rule, ends
+    restricted to present elements:
+
+    * ``vv_adj``: present vertices that are the two ends of some edge,
+      present or deleted;
+    * ``ee_adj``: present edges that share an end, present or not;
+    * ``ve_inc``: (vertex, edge) pairs of a present edge and a present end;
+
+    and the extra pairs join in when both their elements are present.
+    ``vv_adj`` and ``ee_adj`` hold unordered pairs stored with the smaller
+    element first.  Equality and hashing compare elements and relations.
     """
 
     vertices: frozenset[ElementId]
     edges: frozenset[ElementId]
-    vv_adj: frozenset[tuple[ElementId, ElementId]]
-    ee_adj: frozenset[tuple[ElementId, ElementId]]
-    ve_inc: frozenset[tuple[ElementId, ElementId]]
+    ends: Mapping[ElementId, tuple[ElementId, ...]]
+    extra_vv: frozenset[tuple[ElementId, ElementId]] = frozenset()
+    extra_ee: frozenset[tuple[ElementId, ElementId]] = frozenset()
 
-    def __post_init__(self) -> None:
-        for v in self.vertices:
-            if v.kind is not ElementKind.VERTEX:
-                raise ValueError(f"not a vertex id: {v}")
-        for e in self.edges:
-            if e.kind is not ElementKind.EDGE:
-                raise ValueError(f"not an edge id: {e}")
-        for a, b in self.vv_adj:
-            if a == b:
-                raise ValueError(f"vv_adj pair is reflexive: {a}")
-            if a not in self.vertices or b not in self.vertices:
-                raise ValueError(f"vv_adj pair off the vertex set: ({a}, {b})")
-        for a, b in self.ee_adj:
-            if a == b:
-                raise ValueError(f"ee_adj pair is reflexive: {a}")
-            if a not in self.edges or b not in self.edges:
-                raise ValueError(f"ee_adj pair off the edge set: ({a}, {b})")
-        for v, e in self.ve_inc:
-            if v not in self.vertices or e not in self.edges:
-                raise ValueError(f"ve_inc pair off the element sets: ({v}, {e})")
+    @cached_property
+    def vv_adj(self) -> frozenset[tuple[ElementId, ElementId]]:
+        vs = self.vertices
+        return frozenset(
+            p for p in itertools.chain(self.ends.values(), self.extra_vv)
+            if len(p) == 2 and p[0] in vs and p[1] in vs
+        )
+
+    @cached_property
+    def ee_adj(self) -> frozenset[tuple[ElementId, ElementId]]:
+        es = self.edges
+        pairs = {p for p in self.extra_ee if p[0] in es and p[1] in es}
+        at_end: dict[ElementId, list[ElementId]] = {}
+        for e in sorted(es):
+            for v in self.ends[e]:
+                at_end.setdefault(v, []).append(e)
+        for edges_at in at_end.values():
+            pairs.update(itertools.combinations(edges_at, 2))
+        return frozenset(pairs)
+
+    @cached_property
+    def ve_inc(self) -> frozenset[tuple[ElementId, ElementId]]:
+        vs = self.vertices
+        return frozenset((v, e) for e in self.edges for v in self.ends[e] if v in vs)
+
+    def _key(self) -> tuple:
+        return (self.vertices, self.edges, self.vv_adj, self.ee_adj, self.ve_inc)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GeneralizedGraph):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def elements(self) -> frozenset[ElementId]:
@@ -164,38 +190,6 @@ def _neighbor_map(
     return {x: tuple(sorted(nbrs)) for x, nbrs in out.items()}
 
 
-def _from_ends(
-    vertices: Iterable[ElementId],
-    ends: Mapping[ElementId, Sequence[int]],
-    extra_vv: Iterable[tuple[ElementId, ElementId]] = (),
-    extra_ee: Iterable[tuple[ElementId, ElementId]] = (),
-) -> GeneralizedGraph:
-    """The graph whose relations are the extra pairs plus those the edge
-    ends imply: an edge is incident to each of its ends, its two ends are
-    vv-adjacent, and edges that share an end are ee-adjacent.  ``ends``
-    maps each edge to the indices of its end vertices.
-    """
-    vv = {_canonical_pair(a, b) for a, b in extra_vv}
-    ee = {_canonical_pair(a, b) for a, b in extra_ee}
-    ve: set[tuple[ElementId, ElementId]] = set()
-    incident: dict[int, list[ElementId]] = {}
-    for e, vs in ends.items():
-        for u in vs:
-            ve.add((vertex(u), e))
-            incident.setdefault(u, []).append(e)
-        if len(vs) == 2:
-            vv.add(_canonical_pair(vertex(vs[0]), vertex(vs[1])))
-    for edges_at_v in incident.values():
-        ee.update(itertools.combinations(sorted(edges_at_v), 2))
-    return GeneralizedGraph(
-        vertices=frozenset(vertices),
-        edges=frozenset(ends),
-        vv_adj=frozenset(vv),
-        ee_adj=frozenset(ee),
-        ve_inc=frozenset(ve),
-    )
-
-
 def from_standard(
     n_vertices: int, edge_list: Iterable[tuple[int, int]]
 ) -> GeneralizedGraph:
@@ -208,37 +202,31 @@ def from_standard(
     """
     if n_vertices < 0:
         raise ValueError("vertex count must be nonnegative")
-    ends: dict[ElementId, tuple[int, int]] = {}
-    seen: set[tuple[int, int]] = set()
+    ends: dict[ElementId, tuple[ElementId, ElementId]] = {}
+    seen: set[tuple[ElementId, ElementId]] = set()
     for j, (u, w) in enumerate(edge_list):
         if not (0 <= u < n_vertices and 0 <= w < n_vertices):
             raise ValueError(f"edge endpoint out of range: ({u}, {w})")
         if u == w:
             raise ValueError(f"self-loop rejected: ({u}, {w})")
-        key = (min(u, w), max(u, w))
-        if key in seen:
+        pair = (vertex(min(u, w)), vertex(max(u, w)))
+        if pair in seen:
             raise ValueError(f"duplicate edge rejected: ({u}, {w})")
-        seen.add(key)
-        ends[edge(j)] = (u, w)
-    return _from_ends((vertex(i) for i in range(n_vertices)), ends)
+        seen.add(pair)
+        ends[edge(j)] = pair
+    return GeneralizedGraph(frozenset(map(vertex, range(n_vertices))), frozenset(ends), ends)
 
 
 def delete(g: GeneralizedGraph, removed: Iterable[ElementId]) -> GeneralizedGraph:
-    """Remove elements; every relation pair between survivors persists."""
+    """Remove elements.  Only the present sets shrink: ``ends`` and the
+    extra pairs are shared, so every relation pair between survivors
+    persists and none is added.
+    """
     gone = frozenset(removed)
     missing = gone - g.elements
     if missing:
         raise ValueError(f"cannot delete elements absent from the graph: {sorted(missing)}")
-    keep_v = g.vertices - gone
-    keep_e = g.edges - gone
-    keep = keep_v | keep_e
-    return GeneralizedGraph(
-        vertices=keep_v,
-        edges=keep_e,
-        vv_adj=frozenset(p for p in g.vv_adj if p[0] in keep and p[1] in keep),
-        ee_adj=frozenset(p for p in g.ee_adj if p[0] in keep and p[1] in keep),
-        ve_inc=frozenset(p for p in g.ve_inc if p[0] in keep and p[1] in keep),
-    )
+    return GeneralizedGraph(g.vertices - gone, g.edges - gone, g.ends, g.extra_vv, g.extra_ee)
 
 
 @dataclass(frozen=True)
@@ -519,20 +507,18 @@ def petersen_graph() -> GeneralizedGraph:
 # ---------------------------------------------------------------------------
 
 def graph_to_json(g: GeneralizedGraph) -> dict:
-    """Canonical JSON object: sorted ids, derived relation pairs omitted.
+    """Canonical JSON object: sorted ids, each present edge with its present ends.
 
-    Incidence is recoverable from the edges' surviving endpoints, so it
-    is not serialized; vv/ee pairs that the edge ends do not imply are
-    kept under ``extra_vv`` / ``extra_ee``.
+    Incidence is recoverable from those ends, so it is not serialized;
+    vv/ee pairs that they do not imply (pairs through deleted elements)
+    are kept under ``extra_vv`` / ``extra_ee``.
     """
-    ends: dict[ElementId, list[int]] = {e: [] for e in g.edges}
-    for v, e in g.ve_inc:
-        ends[e].append(v.index)
-    implied = _from_ends(g.vertices, ends)
+    ends = {e: tuple(v for v in g.ends[e] if v in g.vertices) for e in g.edges}
+    implied = GeneralizedGraph(g.vertices, g.edges, ends)
     obj: dict = {
         "vertices": sorted(v.index for v in g.vertices),
         "edges": [
-            {"id": e.index, "ends": sorted(ends[e])} for e in sorted(g.edges)
+            {"id": e.index, "ends": [v.index for v in ends[e]]} for e in sorted(g.edges)
         ],
     }
     for key, pairs, derived in (
@@ -568,7 +554,7 @@ def graph_from_json(obj: Mapping) -> GeneralizedGraph:
     if len(set(vert_idx)) != len(vert_idx):
         raise ValueError("duplicate vertex index")
     verts = frozenset(vertex(i) for i in vert_idx)
-    ends: dict[ElementId, list[int]] = {}
+    ends: dict[ElementId, tuple[ElementId, ...]] = {}
     for eo in edge_objs:
         if not isinstance(eo, Mapping) or not is_int(eo.get("id")) or "ends" not in eo:
             raise ValueError(f"malformed edge entry: {eo!r}")
@@ -581,16 +567,19 @@ def graph_from_json(obj: Mapping) -> GeneralizedGraph:
         for u in idx:
             if vertex(u) not in verts:
                 raise ValueError(f"edge {eo['id']} endpoint {u} is not a vertex")
-        ends[e] = idx
+        ends[e] = tuple(sorted(map(vertex, idx)))
+    joins = [vs for vs in ends.values() if len(vs) == 2]
+    if len(set(joins)) != len(joins):
+        raise ValueError("two edges join the same two vertices")
     extras = []
     for key, pool, mk in (("extra_vv", verts, vertex), ("extra_ee", ends, edge)):
-        pairs = []
+        pairs = set()
         for pair in _array(obj.get(key, []), key):
             if len(_array(pair, f"{key} pair", of_ints=True)) != 2 or pair[0] == pair[1]:
                 raise ValueError(f"malformed {key} pair {pair!r}")
-            a, b = mk(pair[0]), mk(pair[1])
+            a, b = sorted(map(mk, pair))
             if a not in pool or b not in pool:
                 raise ValueError(f"{key} pair {pair!r} references a missing element")
-            pairs.append((a, b))
-        extras.append(pairs)
-    return _from_ends(verts, ends, *extras)
+            pairs.add((a, b))
+        extras.append(frozenset(pairs))
+    return GeneralizedGraph(verts, frozenset(ends), ends, *extras)

@@ -216,6 +216,16 @@ def test_paths_longer_than_the_graph_are_none(tmp_path):
     assert json.loads(done.stdout) == {"bound": 100000, "count": 0, "holds": True}
 
 
+def test_paths_on_an_edgeless_graph_have_no_bound(capsys, tmp_path):
+    # the bounds need Delta >= 1; with none the payload says so and exits 0
+    gpath = write_graph(tmp_path, path_graph(1))
+    code, out, err = invoke(
+        capsys, "paths", gpath, "--through", "v:0", "--kind", "vertex", "--length", "2"
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"bound": None, "count": 0, "holds": None}
+
+
 def test_paths_longer_than_the_recursion_limit(tmp_path):
     # the walker keeps its own stack, so P1100 yields its one full-length path
     gpath = write_graph(tmp_path, path_graph(1100))
@@ -584,6 +594,8 @@ def test_bad_input_files_exit_two(capsys, tmp_path, command, content):
         {"vertices": [0, 1], "edges": [], "extra_vv": [5]},
         {"vertices": [0, 1], "edges": [{"id": "0", "ends": [0, 1]}]},
         {"vertices": [0, True], "edges": []},
+        # parallel edges: from_standard rejects them as duplicates
+        {"vertices": [0, 1], "edges": [{"id": 0, "ends": [0, 1]}, {"id": 1, "ends": [1, 0]}]},
     ],
 )
 def test_malformed_graph_exits_two(capsys, tmp_path, graph):

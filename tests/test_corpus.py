@@ -7,7 +7,7 @@ from thuecolor.corpus import (
     path_dominance_records,
     random_bounded_graph,
 )
-from thuecolor.graphs import GeneralizedGraph, PathKind, complete_graph
+from thuecolor.graphs import PathKind, complete_graph, from_standard
 
 import numpy as np
 
@@ -73,10 +73,7 @@ def test_dominance_k5_edge_counterexample():
 
 
 def test_dominance_rejects_empty_graph():
-    g = GeneralizedGraph(
-        vertices=frozenset(), edges=frozenset(), vv_adj=frozenset(),
-        ee_adj=frozenset(), ve_inc=frozenset(),
-    )
+    g = from_standard(0, [])
     with pytest.raises(ValueError, match="Delta >= 1"):
         path_dominance_records("empty", g)
 

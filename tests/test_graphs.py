@@ -374,15 +374,34 @@ def test_applicable_path_kinds():
 
 
 def test_json_round_trip_plain_and_deleted():
+    """Relations from full edge ends and from JSON's present ends plus extra
+    pairs agree, through a round trip and a second deletion after it."""
     rnd = random.Random(909)
     graphs = [path_graph(4), complete_graph(4), petersen_graph()]
     graphs += [_rand_graph(rnd, 6) for _ in range(8)]
+    seen = Counter()
     for g in graphs:
         assert graph_from_json(graph_to_json(g)) == g
         els = sorted(g.elements)
-        h = delete(g, set(rnd.sample(els, rnd.randint(1, len(els) - 1))))
+        s1 = set(rnd.sample(els, rnd.randint(1, len(els) - 1)))
+        h = delete(g, s1)
         # deleted graphs need the explicit extra_* relations to survive
-        assert graph_from_json(graph_to_json(h)) == h
+        obj = graph_to_json(h)
+        seen.update(key for key in ("extra_vv", "extra_ee") if key in obj)
+        read = graph_from_json(obj)
+        assert read == h
+        # deletion changes presence only: it builds no relation set
+        assert h.ends is g.ends
+        rest = sorted(h.elements)
+        s2 = set(rnd.sample(rest, rnd.randint(0, len(rest) - 1)))
+        direct, via_json = delete(g, s1 | s2), delete(read, s2)
+        assert via_json == direct
+        assert graph_to_json(via_json) == graph_to_json(direct)
+        assert hash(via_json) == hash(direct)
+        for kind in PathKind:
+            for x in sorted(g.elements):
+                assert via_json.neighbors(x, kind) == direct.neighbors(x, kind)
+    assert seen["extra_vv"] and seen["extra_ee"]
 
 
 # sha256 of the sorted-key JSON text of graph_to_json over the 25 corpus

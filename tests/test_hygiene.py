@@ -1,4 +1,5 @@
-"""Source hygiene: every name a package module imports is used in that module."""
+"""Source hygiene: every name a package module imports is used in that
+module, and every private name the package defines is read in it."""
 import ast
 from pathlib import Path
 
@@ -30,6 +31,37 @@ def _loaded(tree: ast.Module) -> set[str]:
     }
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_defs(tree: ast.Module) -> dict[str, int]:
+    """Module-level private names and private methods -> line; dunders excluded."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    names[target.id] = node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names[item.name] = item.lineno
+    return {name: line for name, line in names.items() if _is_private(name)}
+
+
+def _read(tree: ast.Module) -> set[str]:
+    """Names loaded and attributes read anywhere in the tree."""
+    attrs = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return _loaded(tree) | attrs
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -41,3 +73,34 @@ def test_every_import_is_used(path):
 def test_the_scan_sees_an_unused_import():
     tree = ast.parse("import os\nfrom math import pi, tau\nprint(tau)\n")
     assert {n for n in _imported(tree) if n not in _loaded(tree)} == {"os", "pi"}
+
+
+def test_every_private_name_is_read():
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in MODULES
+    }
+    read = set().union(*map(_read, trees.values()))
+    unread = {
+        f"{name}:{line}": defined
+        for name, tree in trees.items()
+        for defined, line in _private_defs(tree).items()
+        if defined not in read
+    }
+    assert not unread, f"private names defined but never read: {unread}"
+
+
+def test_the_scan_sees_an_unread_private_name():
+    tree = ast.parse(
+        "_TABLE = {}\n_kept = 1\n"
+        "def _orphan(): pass\n"
+        "def _helper(): return _kept\n"
+        "class _C:\n"
+        "    def __init__(self): self._used()\n"
+        "    def _used(self): return _helper()\n"
+        "    def _stale(self): pass\n"
+        "print(_C)\n"
+    )
+    defined = _private_defs(tree)
+    assert set(defined) == {"_TABLE", "_kept", "_orphan", "_helper", "_C", "_used", "_stale"}
+    assert {n for n in defined if n not in _read(tree)} == {"_TABLE", "_orphan", "_stale"}
