@@ -10,8 +10,14 @@ pairs.  A square whose other pairs already agree forbids exactly one
 color of d, its partner's; this is the paper's one forbidden color per
 path.  At each node the counter collects these banned colors once and
 skips them, so a color costs one set lookup however many squares end at
-d.  At the last element no color is tried: the count there is the size
-of its list less the number of banned colors in it.
+d.  The last two elements are counted in closed form at the node of the
+second-to-last one, pen, without trying a color of either.  A square
+ending at the last element either misses pen and, if its pairs agree,
+bans a fixed color; or has pen as the partner and bans pen's color c; or
+pairs pen with an earlier b and bans its partner's color e exactly when
+c is b's color.  So the node counts pen's allowed colors times the last
+list less the fixed bans, less each allowed c that the second kind bans
+there, less each distinct (c, e) of the third kind that bans one more.
 
 The counter does not visit every coloring.  Whether a coloring is
 square-free depends only on which elements share a color.  So at depth
@@ -173,8 +179,8 @@ def coloring_to_json(coloring: Mapping[ElementId, Color]) -> list[dict]:
 # compiled backtracking
 # ---------------------------------------------------------------------------
 
-# Only the counter recurses, once per element to color; this many frames of
-# the interpreter's recursion limit are left to its callers.
+# Only the counter recurses, once per element to color but the last; this
+# many frames of the interpreter's recursion limit are left to its callers.
 _CALLER_FRAMES = 100
 
 
@@ -232,8 +238,8 @@ def _compile(
 
 def _count_symmetric(cp: _Compiled) -> int:
     m = len(cp.palettes)
-    if m == 0:
-        return 1
+    if m < 2:
+        return len(cp.palettes[0]) if m else 1
     # remap colors to 0..K-1 so that "used" is a flat list
     index = {c: i for i, c in enumerate(set().union(*cp.palettes))}
     # classes[d]: palette d grouped by the positions d..m-1 whose palettes
@@ -250,8 +256,16 @@ def _count_symmetric(cp: _Compiled) -> int:
     colors = [0] * m
     used = [False] * len(index)
     squares = cp.squares
-    last_d = m - 1
-    last_list = {index[c] for c in cp.palettes[last_d]}
+    pen, last = m - 2, m - 1
+    pen_list = {index[c] for c in cp.palettes[pen]}
+    last_list = {index[c] for c in cp.palettes[last]}
+    # the squares ending at the last element as (p, b, pairs): pen is p, or
+    # is paired with b (it lies in at most one pair, the first, as pairs run
+    # later first), or b is -1 and the square misses pen
+    tail = [
+        (p, pairs[0][1], pairs[1:]) if pairs and pairs[0][0] == pen else (p, -1, pairs)
+        for p, pairs in squares[last]
+    ]
 
     def rec(d: int) -> int:
         # the colors that complete a square ending at d: a square whose
@@ -263,8 +277,30 @@ def _count_symmetric(cp: _Compiled) -> int:
                     break
             else:
                 banned.add(colors[p])
-        if d == last_d:
-            return len(last_list) - len(banned & last_list)
+        if d == pen:
+            # pen's color c and the last color in closed form: the last
+            # element loses the fixed bans, c if pen is an agreeing square's
+            # partner, and colors[p] if c is colors[b] and the rest agree
+            fixed, keyed, echo = set(), set(), False
+            for p, b, pairs in tail:
+                for a, a2 in pairs:
+                    if colors[a] != colors[a2]:
+                        break
+                else:
+                    if p == pen:
+                        echo = True
+                    elif b < 0:
+                        fixed.add(colors[p])
+                    else:
+                        keyed.add((colors[b], colors[p]))
+            # an unused color of pen is no partner's and no b's, so counting
+            # pen's allowed colors one by one matches the classes' weights
+            allowed, free = pen_list - banned, last_list - fixed
+            total = len(allowed) * len(free) - echo * len(allowed & free)
+            for c, e in keyed:
+                if c in allowed and e in free and not (echo and e == c):
+                    total -= 1
+            return total
         total = 0
         for cls in classes[d]:
             fresh = 0

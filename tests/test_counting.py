@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import sys
+import types
 
 import pytest
 
@@ -455,6 +456,98 @@ def test_last_element_edge_cases():
     g = from_standard(3, [(0, 1)])
     lists = ListAssignment.from_map({vertex(0): [1, 2], vertex(1): [1, 2], vertex(2): [1, 2, 3]})
     _assert_counts(g, lists, Regime.VERTEX, None, 6)
+
+
+def test_squares_at_the_last_element_by_how_they_meet_the_penultimate():
+    v = vertex
+    # v4 is isolated and colored second to last, so both squares ending at
+    # v3 (v2 v3 and v0 v1 v2 v3) miss it: 2 colors of v4 times 18 words
+    g = from_standard(5, [(0, 1), (1, 2), (2, 3)])
+    lists = ListAssignment.from_map({**{v(i): [0, 1, 2] for i in range(4)}, v(4): [5, 6]})
+    _assert_counts(g, lists, Regime.VERTEX, [v(0), v(1), v(2), v(4), v(3)], 36)
+    # P8 plus the chord v0 v2, with v0 then v2 last: v0 v2 bans v0's color 0
+    # at v2, and so does v0..v7 once v0 = v4 and v5 = v1, v7 = v3, since
+    # v2's partner v6 has color 0 too; the one ban leaves v2 = 3
+    g = from_standard(8, [(i, i + 1) for i in range(7)] + [(0, 2)])
+    lists = ListAssignment.from_map({
+        v(0): [0], v(1): [1], v(3): [2], v(4): [0], v(5): [1], v(6): [0], v(7): [2],
+        v(2): [0, 3],
+    })
+    _assert_counts(g, lists, Regime.VERTEX, [v(1), v(3), v(4), v(5), v(6), v(7), v(0), v(2)], 1)
+    # P5 with v1 then v2 last: v0 v1 v2 v3 and v1 v2 v3 v4 both ban 0 at v2
+    # when v1 = v3 = 1, one color between them
+    g = path_graph(5)
+    order = [v(4), v(0), v(3), v(1), v(2)]
+    lists = ListAssignment.from_map({v(0): [0], v(4): [0], v(3): [1], v(1): [1, 2], v(2): [0, 3]})
+    _assert_counts(g, lists, Regime.VERTEX, order, 3)
+    # P5 with v1 then v4 last: v1 v2 v3 v4 would ban 1 at v4 with v1 = v3 = 0,
+    # but v0 v1 already bans 0 at v1
+    order = [v(0), v(3), v(2), v(1), v(4)]
+    lists = ListAssignment.from_map({v(0): [0], v(3): [0, 1], v(2): [1], v(1): [0, 1, 2], v(4): [1, 2]})
+    _assert_counts(g, lists, Regime.VERTEX, order, 2)
+    # unused colors at v1: 2 and 3 are in v2's list and banned there by
+    # v1 v2, 5 is not
+    g = path_graph(3)
+    lists = ListAssignment.from_map({v(0): [1], v(1): [1, 2, 3, 5], v(2): [1, 2, 3]})
+    _assert_counts(g, lists, Regime.VERTEX, None, 7)
+    # an empty list second to last
+    lists = ListAssignment.from_map({v(0): [1, 2], v(1): [], v(2): [1, 2]})
+    _assert_counts(g, lists, Regime.VERTEX, None, 0)
+
+
+def test_two_and_three_elements_match_brute_force():
+    # the second-to-last element is the root or the root's child here
+    rnd = random.Random(2023)
+    for regime in Regime:
+        for m in (2, 3):
+            checked = 0
+            while checked < 8:
+                n = rnd.randint(1, 4)
+                pairs = [(u, w) for u in range(n) for w in range(u + 1, n)]
+                g = from_standard(n, sorted(rnd.sample(pairs, rnd.randint(0, len(pairs)))))
+                order = relevant_elements(g, regime)
+                if len(order) != m:
+                    continue
+                rnd.shuffle(order)
+                L = _shared_lists(rnd, g, [-5, 7, 10**9])
+                assert count_colorings(g, L, regime, order=order) == count_colorings_bruteforce(g, L, regime)
+                checked += 1
+
+
+def _deepest_counter_frame(g, lists, regime):
+    """The count, and the most nested frames of the counter's recursive
+    inner function seen at once."""
+    inner, = (
+        c for c in thuecolor.counting._count_symmetric.__code__.co_consts
+        if isinstance(c, types.CodeType) and not c.co_name.startswith("<")
+    )
+    deepest = 0
+
+    def profile(frame, event, arg):
+        nonlocal deepest
+        if event == "call" and frame.f_code is inner:
+            depth = 0
+            while frame is not None:
+                depth += frame.f_code is inner
+                frame = frame.f_back
+            deepest = max(deepest, depth)
+
+    sys.setprofile(profile)
+    try:
+        count = count_colorings(g, lists, regime)
+    finally:
+        sys.setprofile(None)
+    return count, deepest
+
+
+def test_the_recursion_stops_at_the_second_to_last_element():
+    # the last two elements are counted in closed form, so no frame is
+    # opened for a child of the node at depth m - 2
+    for g, k, frames in [(path_graph(6), 4, 5), (path_graph(2), 3, 1), (path_graph(1), 3, 0)]:
+        lists = ListAssignment.uniform(g, k)
+        assert _deepest_counter_frame(g, lists, Regime.VERTEX) == (
+            count_colorings_bruteforce(g, lists, Regime.VERTEX), frames
+        )
 
 
 def _square_free_word_counts(lists):
