@@ -242,11 +242,16 @@ def _count_symmetric(cp: _Compiled) -> int:
         return len(cp.palettes[0]) if m else 1
     # remap colors to 0..K-1 so that "used" is a flat list
     index = {c: i for i, c in enumerate(set().union(*cp.palettes))}
+    pen, last = m - 2, m - 1
     # classes[d]: palette d grouped by the positions d..m-1 whose palettes
-    # hold each color, collected from the last position backwards
+    # hold each color, collected from the last position backwards; the
+    # last two positions are counted in closed form and need no classes
     held: list[tuple[int, ...]] = [()] * len(index)
-    classes: list[list[list[int]]] = [[] for _ in range(m)]
-    for d in range(m - 1, -1, -1):
+    for d in (last, pen):
+        for c in cp.palettes[d]:
+            held[index[c]] += (d,)
+    classes: list[list[list[int]]] = [[] for _ in range(pen)]
+    for d in range(pen - 1, -1, -1):
         groups: dict[tuple[int, ...], list[int]] = {}
         for c in cp.palettes[d]:
             i = index[c]
@@ -256,7 +261,6 @@ def _count_symmetric(cp: _Compiled) -> int:
     colors = [0] * m
     used = [False] * len(index)
     squares = cp.squares
-    pen, last = m - 2, m - 1
     pen_list = {index[c] for c in cp.palettes[pen]}
     last_list = {index[c] for c in cp.palettes[last]}
     # the squares ending at the last element as (p, b, pairs): pen is p, or
@@ -278,6 +282,9 @@ def _count_symmetric(cp: _Compiled) -> int:
             else:
                 banned.add(colors[p])
         if d == pen:
+            allowed = pen_list - banned
+            if not allowed:
+                return 0
             # pen's color c and the last color in closed form: the last
             # element loses the fixed bans, c if pen is an agreeing square's
             # partner, and colors[p] if c is colors[b] and the rest agree
@@ -295,7 +302,7 @@ def _count_symmetric(cp: _Compiled) -> int:
                         keyed.add((colors[b], colors[p]))
             # an unused color of pen is no partner's and no b's, so counting
             # pen's allowed colors one by one matches the classes' weights
-            allowed, free = pen_list - banned, last_list - fixed
+            free = last_list - fixed
             total = len(allowed) * len(free) - echo * len(allowed & free)
             for c, e in keyed:
                 if c in allowed and e in free and not (echo and e == c):

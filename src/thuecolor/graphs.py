@@ -70,48 +70,38 @@ _KIND_RANK = {PathKind.VERTEX: 0, PathKind.EDGE: 1, PathKind.MIXED: 2}
 class GeneralizedGraph:
     """Immutable generalized graph.
 
-    It stores its present ``vertices`` and ``edges``, the ``ends`` of every
-    edge it was built with (its end vertices in sorted order, present or
-    deleted, never changed by deletion) and, for graphs read from JSON
-    only, the extra ``vv`` and ``ee`` pairs that their ends do not imply.
-    The three relations are derived from these by one rule, ends
-    restricted to present elements:
+    It stores its present ``vertices`` and ``edges`` and the ``ends`` of
+    every edge it was built with: two vertices in sorted order, present or
+    deleted, that deletion never changes.  The three relations are derived
+    from these by one rule, ends restricted to present elements:
 
     * ``vv_adj``: present vertices that are the two ends of some edge,
       present or deleted;
     * ``ee_adj``: present edges that share an end, present or not;
-    * ``ve_inc``: (vertex, edge) pairs of a present edge and a present end;
+    * ``ve_inc``: (vertex, edge) pairs of a present edge and a present end.
 
-    and the extra pairs join in when both their elements are present.
     ``vv_adj`` and ``ee_adj`` hold unordered pairs stored with the smaller
     element first.  Equality and hashing compare elements and relations.
     """
 
     vertices: frozenset[ElementId]
     edges: frozenset[ElementId]
-    ends: Mapping[ElementId, tuple[ElementId, ...]]
-    extra_vv: frozenset[tuple[ElementId, ElementId]] = frozenset()
-    extra_ee: frozenset[tuple[ElementId, ElementId]] = frozenset()
+    ends: Mapping[ElementId, tuple[ElementId, ElementId]]
 
     @cached_property
     def vv_adj(self) -> frozenset[tuple[ElementId, ElementId]]:
         vs = self.vertices
-        return frozenset(
-            p for p in itertools.chain(self.ends.values(), self.extra_vv)
-            if len(p) == 2 and p[0] in vs and p[1] in vs
-        )
+        return frozenset(p for p in self.ends.values() if p[0] in vs and p[1] in vs)
 
     @cached_property
     def ee_adj(self) -> frozenset[tuple[ElementId, ElementId]]:
-        es = self.edges
-        pairs = {p for p in self.extra_ee if p[0] in es and p[1] in es}
         at_end: dict[ElementId, list[ElementId]] = {}
-        for e in sorted(es):
+        for e in sorted(self.edges):
             for v in self.ends[e]:
                 at_end.setdefault(v, []).append(e)
-        for edges_at in at_end.values():
-            pairs.update(itertools.combinations(edges_at, 2))
-        return frozenset(pairs)
+        return frozenset(
+            p for edges_at in at_end.values() for p in itertools.combinations(edges_at, 2)
+        )
 
     @cached_property
     def ve_inc(self) -> frozenset[tuple[ElementId, ElementId]]:
@@ -218,15 +208,15 @@ def from_standard(
 
 
 def delete(g: GeneralizedGraph, removed: Iterable[ElementId]) -> GeneralizedGraph:
-    """Remove elements.  Only the present sets shrink: ``ends`` and the
-    extra pairs are shared, so every relation pair between survivors
-    persists and none is added.
+    """Remove elements.  Only the present sets shrink and ``ends`` is
+    shared, so every relation pair between survivors persists and none is
+    added.
     """
     gone = frozenset(removed)
     missing = gone - g.elements
     if missing:
         raise ValueError(f"cannot delete elements absent from the graph: {sorted(missing)}")
-    return GeneralizedGraph(g.vertices - gone, g.edges - gone, g.ends, g.extra_vv, g.extra_ee)
+    return GeneralizedGraph(g.vertices - gone, g.edges - gone, g.ends)
 
 
 @dataclass(frozen=True)
@@ -507,28 +497,23 @@ def petersen_graph() -> GeneralizedGraph:
 # ---------------------------------------------------------------------------
 
 def graph_to_json(g: GeneralizedGraph) -> dict:
-    """Canonical JSON object: sorted ids, each present edge with its present ends.
+    """Canonical JSON object: sorted ids, each edge with both of its ends.
 
-    Incidence is recoverable from those ends, so it is not serialized;
-    vv/ee pairs that they do not imply (pairs through deleted elements)
-    are kept under ``extra_vv`` / ``extra_ee``.
+    Incidence follows from the ends, so it is not written.  A deleted graph
+    adds ``absent_vertices``, the deleted vertices that an edge ends at, and
+    ``absent_edges``; a graph with nothing deleted writes neither key.
     """
-    ends = {e: tuple(v for v in g.ends[e] if v in g.vertices) for e in g.edges}
-    implied = GeneralizedGraph(g.vertices, g.edges, ends)
-    obj: dict = {
+    def edges_json(es: Iterable[ElementId]) -> list[dict]:
+        return [{"id": e.index, "ends": [v.index for v in g.ends[e]]} for e in sorted(es)]
+
+    absent_vertices = {v for vs in g.ends.values() for v in vs} - g.vertices
+    obj = {
         "vertices": sorted(v.index for v in g.vertices),
-        "edges": [
-            {"id": e.index, "ends": [v.index for v in ends[e]]} for e in sorted(g.edges)
-        ],
+        "edges": edges_json(g.edges),
+        "absent_vertices": sorted(v.index for v in absent_vertices),
+        "absent_edges": edges_json(g.ends.keys() - g.edges),
     }
-    for key, pairs, derived in (
-        ("extra_vv", g.vv_adj, implied.vv_adj),
-        ("extra_ee", g.ee_adj, implied.ee_adj),
-    ):
-        extra = sorted([a.index, b.index] for a, b in pairs - derived)
-        if extra:
-            obj[key] = extra
-    return obj
+    return {key: value for key, value in obj.items() if value or key in ("vertices", "edges")}
 
 
 def is_int(value) -> bool:
@@ -543,43 +528,38 @@ def _array(value, what: str, of_ints: bool = False) -> list:
 
 
 def graph_from_json(obj: Mapping) -> GeneralizedGraph:
-    """Parse the canonical JSON object produced by ``graph_to_json``."""
+    """Parse the canonical JSON object produced by ``graph_to_json``.
+
+    Each edge, present or absent, needs two distinct listed ends; unknown
+    keys, repeated ids and parallel edges are rejected.
+    """
     if not isinstance(obj, Mapping):
         raise ValueError("graph JSON must be an object")
+    unknown = set(obj) - {"vertices", "edges", "absent_vertices", "absent_edges"}
+    if unknown:
+        raise ValueError(f"graph JSON has unknown keys {sorted(unknown)}")
     try:
         vert_idx = _array(obj["vertices"], "vertices", of_ints=True)
         edge_objs = _array(obj["edges"], "edges")
     except KeyError as missing:
         raise ValueError(f"graph JSON lacks required key {missing}") from None
-    if len(set(vert_idx)) != len(vert_idx):
+    absent_idx = _array(obj.get("absent_vertices", []), "absent_vertices", of_ints=True)
+    absent_objs = _array(obj.get("absent_edges", []), "absent_edges")
+    listed = frozenset(map(vertex, vert_idx + absent_idx))
+    if len(listed) != len(vert_idx) + len(absent_idx):
         raise ValueError("duplicate vertex index")
-    verts = frozenset(vertex(i) for i in vert_idx)
-    ends: dict[ElementId, tuple[ElementId, ...]] = {}
-    for eo in edge_objs:
+    ends: dict[ElementId, tuple[ElementId, ElementId]] = {}
+    for eo in edge_objs + absent_objs:
         if not isinstance(eo, Mapping) or not is_int(eo.get("id")) or "ends" not in eo:
             raise ValueError(f"malformed edge entry: {eo!r}")
         e = edge(eo["id"])
         if e in ends:
             raise ValueError(f"duplicate edge id {eo['id']}")
         idx = _array(eo["ends"], f"ends of edge {eo['id']}", of_ints=True)
-        if len(idx) > 2 or len(set(idx)) != len(idx):
-            raise ValueError(f"edge {eo['id']} has malformed ends {idx!r}")
-        for u in idx:
-            if vertex(u) not in verts:
-                raise ValueError(f"edge {eo['id']} endpoint {u} is not a vertex")
-        ends[e] = tuple(sorted(map(vertex, idx)))
-    joins = [vs for vs in ends.values() if len(vs) == 2]
-    if len(set(joins)) != len(joins):
+        if len(idx) != 2 or idx[0] == idx[1] or not listed.issuperset(map(vertex, idx)):
+            raise ValueError(f"edge {eo['id']} ends {idx!r} are not two listed vertices")
+        ends[e] = (vertex(min(idx)), vertex(max(idx)))
+    if len(set(ends.values())) != len(ends):
         raise ValueError("two edges join the same two vertices")
-    extras = []
-    for key, pool, mk in (("extra_vv", verts, vertex), ("extra_ee", ends, edge)):
-        pairs = set()
-        for pair in _array(obj.get(key, []), key):
-            if len(_array(pair, f"{key} pair", of_ints=True)) != 2 or pair[0] == pair[1]:
-                raise ValueError(f"malformed {key} pair {pair!r}")
-            a, b = sorted(map(mk, pair))
-            if a not in pool or b not in pool:
-                raise ValueError(f"{key} pair {pair!r} references a missing element")
-            pairs.add((a, b))
-        extras.append(frozenset(pairs))
-    return GeneralizedGraph(verts, frozenset(ends), ends, *extras)
+    present = frozenset(edge(eo["id"]) for eo in edge_objs)
+    return GeneralizedGraph(frozenset(map(vertex, vert_idx)), present, ends)

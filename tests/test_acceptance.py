@@ -261,3 +261,23 @@ def test_criterion_11_resampler_smoke():
         ok,
         f"{successes}/20 seeds colored P100 with 4 colors, all revalidated, {elapsed:.1f}s",
     )
+
+
+def test_criterion_12_circular_square_free_words():
+    # Currie, "There are ternary circular square-free words of length n for
+    # n >= 18", Electron. J. Combin. 9 (2002) #N10: such words exist for
+    # every n except 5, 7, 9, 10, 14 and 17
+    start = time.perf_counter()
+    zero = []
+    for n in range(3, 25):
+        g = cycle_graph(n)
+        if count_colorings(g, ListAssignment.uniform(g, 3), Regime.VERTEX) == 0:
+            zero.append(n)
+    elapsed = time.perf_counter() - start
+    ok = zero == [5, 7, 9, 10, 14, 17] and elapsed < 10.0
+    _report(
+        12,
+        "circular square-free words",
+        ok,
+        f"C3..C24 with 3 colors have none exactly at n = {zero}, {elapsed:.2f}s",
+    )

@@ -170,16 +170,10 @@ def _strict_json(text):
 
 
 def test_ratio_without_colorings_prints_null(capsys, tmp_path):
-    # six pairwise vv-adjacent vertices need six colors, so 4 give
-    # C(G) = C(G - x) = 0 and an infinite ratio
-    gpath = tmp_path / "k6vv.json"
-    gpath.write_text(json.dumps({
-        "vertices": list(range(6)),
-        "edges": [],
-        "extra_vv": [[u, w] for u in range(6) for w in range(u + 1, 6)],
-    }))
+    # K6 needs six colors, so 4 give C(G) = C(G - x) = 0 and an infinite ratio
+    gpath = write_graph(tmp_path, complete_graph(6))
     code, out, _ = invoke(
-        capsys, "ratio", str(gpath), "--claim", "path", "--delta", "2",
+        capsys, "ratio", gpath, "--claim", "path", "--delta", "5",
         "--element", "v:0", "--uniform", "4",
     )
     assert code == 0
@@ -591,11 +585,15 @@ def test_bad_input_files_exit_two(capsys, tmp_path, command, content):
         {"vertices": 5, "edges": []},
         {"vertices": [0, 1], "edges": [{"id": 0, "ends": 7}]},
         {"vertices": [0, 1], "edges": [{"id": [1], "ends": [0, 1]}]},
-        {"vertices": [0, 1], "edges": [], "extra_vv": [5]},
+        {"vertices": [0, 1], "edges": [], "absent_vertices": [[1]]},
         {"vertices": [0, 1], "edges": [{"id": "0", "ends": [0, 1]}]},
         {"vertices": [0, True], "edges": []},
         # parallel edges: from_standard rejects them as duplicates
         {"vertices": [0, 1], "edges": [{"id": 0, "ends": [0, 1]}, {"id": 1, "ends": [1, 0]}]},
+        # the old format's extra pairs: ignoring them would lose relations
+        {"vertices": [0, 1], "edges": [], "extra_vv": [[0, 1]]},
+        # every edge has two ends, present or absent
+        {"vertices": [0], "edges": [{"id": 0, "ends": [0]}]},
     ],
 )
 def test_malformed_graph_exits_two(capsys, tmp_path, graph):

@@ -19,8 +19,8 @@ _GOOD_INPUTS = {
     "graph": {
         "vertices": [0, 1, 2],
         "edges": [{"id": 0, "ends": [0, 1]}, {"id": 1, "ends": [1, 2]}],
-        "extra_vv": [[0, 2]],
-        "extra_ee": [[0, 1]],
+        # the deleted edge 0-2 keeps 0 and 2 adjacent: 6 colorings, not 12
+        "absent_edges": [{"id": 2, "ends": [0, 2]}],
     },
     "lists": [
         {"element": {"kind": "v", "index": i}, "colors": [0, 1, 2]} for i in range(3)
@@ -29,7 +29,7 @@ _GOOD_INPUTS = {
         {"element": {"kind": "v", "index": i}, "color": c} for i, c in enumerate([0, 1, 2])
     ],
 }
-_OPTIONAL_KEYS = {"extra_vv", "extra_ee"}
+_OPTIONAL_KEYS = {"absent_vertices", "absent_edges"}
 _JSON = st.recursive(
     st.none()
     | st.booleans()

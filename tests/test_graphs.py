@@ -232,9 +232,9 @@ def _walk_tally(g, kind, length):
 def test_count_paths_containing_on_deleted_graphs():
     """The tally against ``walk`` on seeded deletions of random graphs.
 
-    Deletion leaves vv and ee pairs that the edge ends do not imply and
-    elements with no neighbour, which the free-neighbour counts of the
-    tally's last two levels must handle like any other element.
+    Deletion leaves vv pairs through a deleted edge, ee pairs through a
+    deleted vertex and elements with no neighbour, which the free-neighbour
+    counts of the tally's last two levels must handle like any other element.
     """
     rnd = random.Random(2718)
     lengths = range(1, 10)
@@ -243,15 +243,19 @@ def test_count_paths_containing_on_deleted_graphs():
         g = _rand_graph(rnd, 6)
         els = sorted(g.elements)
         g = delete(g, rnd.sample(els, rnd.randint(1, len(els) // 3)))
-        obj = graph_to_json(g)
-        seen.update(key for key in ("extra_vv", "extra_ee") if key in obj)
+        seen["vv via deleted edge"] += any(
+            e not in g.edges for e, vs in g.ends.items() if vs in g.vv_adj
+        )
+        seen["ee via deleted vertex"] += any(
+            set(g.ends[a]) & set(g.ends[b]) - g.vertices for a, b in g.ee_adj
+        )
         for kind in PathKind:
             seen["isolated"] += any(not g.neighbors(x, kind) for x in g.domain(kind))
             tally = count_paths_containing(g, kind, lengths)
             for length in lengths:
                 assert tally[length] == _walk_tally(g, kind, length), (kind, length)
                 assert 0 not in tally[length].values()
-    assert seen["extra_vv"] and seen["extra_ee"] and seen["isolated"]
+    assert seen["vv via deleted edge"] and seen["ee via deleted vertex"] and seen["isolated"]
 
 
 @pytest.mark.parametrize(
@@ -374,8 +378,8 @@ def test_applicable_path_kinds():
 
 
 def test_json_round_trip_plain_and_deleted():
-    """Relations from full edge ends and from JSON's present ends plus extra
-    pairs agree, through a round trip and a second deletion after it."""
+    """A graph read back from JSON has the same edge ends and relations as
+    the one written, through a round trip and a second deletion after it."""
     rnd = random.Random(909)
     graphs = [path_graph(4), complete_graph(4), petersen_graph()]
     graphs += [_rand_graph(rnd, 6) for _ in range(8)]
@@ -385,11 +389,12 @@ def test_json_round_trip_plain_and_deleted():
         els = sorted(g.elements)
         s1 = set(rnd.sample(els, rnd.randint(1, len(els) - 1)))
         h = delete(g, s1)
-        # deleted graphs need the explicit extra_* relations to survive
+        # deleted graphs list what deletion left behind
         obj = graph_to_json(h)
-        seen.update(key for key in ("extra_vv", "extra_ee") if key in obj)
+        seen.update(key for key in ("absent_vertices", "absent_edges") if key in obj)
         read = graph_from_json(obj)
         assert read == h
+        assert read.ends == g.ends
         # deletion changes presence only: it builds no relation set
         assert h.ends is g.ends
         rest = sorted(h.elements)
@@ -401,28 +406,36 @@ def test_json_round_trip_plain_and_deleted():
         for kind in PathKind:
             for x in sorted(g.elements):
                 assert via_json.neighbors(x, kind) == direct.neighbors(x, kind)
-    assert seen["extra_vv"] and seen["extra_ee"]
+    assert seen["absent_vertices"] and seen["absent_edges"]
 
 
 # sha256 of the sorted-key JSON text of graph_to_json over the 25 corpus
-# graphs, each followed by four seeded deletions from it; 57 of the 125
-# objects carry extra_vv and 53 extra_ee.  Any change to the bytes that
-# graph_to_json writes changes it.
-CORPUS_GRAPH_JSON_SHA256 = "e1b37b99de1b81ab769ff33922958874da1d6451cb354a0fd3d83ded5d62d6e0"
+# graphs, and over four seeded deletions from each; 87 of the 100 deleted
+# objects carry absent_vertices and 92 absent_edges.  Any change to the
+# bytes that graph_to_json writes changes them.  Plain graphs write no
+# absent keys, and their hash is the one the earlier format gave, so the
+# CLI benchmark's input files keep their bytes.
+CORPUS_PLAIN_JSON_SHA256 = "1ce47c960b408852ea3faed07367b3afa567483edecef8eaccc93834380331a7"
+CORPUS_DELETED_JSON_SHA256 = "6428fbc4c44c777a23e813a78aefbb5aff33453645c0b4a93244184b785a0866"
 
 
 def test_corpus_graph_json_is_pinned():
     rnd = random.Random(20240917)
-    objs = []
+    plain, deleted = [], []
     for _, g in builtin_corpus():
         els = sorted(g.elements)
         deletions = [delete(g, rnd.sample(els, rnd.randint(1, len(els) - 1))) for _ in range(4)]
         for h in [g] + deletions:
             obj = graph_to_json(h)
-            assert graph_from_json(obj) == h
-            objs.append(obj)
-    blob = json.dumps(objs, sort_keys=True)
-    assert hashlib.sha256(blob.encode()).hexdigest() == CORPUS_GRAPH_JSON_SHA256
+            read = graph_from_json(obj)
+            assert read == h and read.ends == h.ends
+            (plain if h is g else deleted).append(obj)
+    for objs, digest in (
+        (plain, CORPUS_PLAIN_JSON_SHA256),
+        (deleted, CORPUS_DELETED_JSON_SHA256),
+    ):
+        blob = json.dumps(objs, sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
 def test_json_is_stable_text():
@@ -439,12 +452,13 @@ def test_graph_from_json_validates():
 
 
 def test_improper_edge_io():
-    # an edge that lost both endpoints still serializes and returns
+    # an edge whose ends are both deleted still serializes and returns
     g = delete(path_graph(2), {vertex(0), vertex(1)})
     assert g.edges == {edge(0)}
     obj = graph_to_json(g)
-    assert obj["edges"][0]["ends"] == []
-    assert graph_from_json(obj) == g
+    assert obj == {"vertices": [], "edges": [{"id": 0, "ends": [0, 1]}], "absent_vertices": [0, 1]}
+    read = graph_from_json(obj)
+    assert read == g and read.ends == g.ends
 
 
 def test_cycle_and_path_shapes():
