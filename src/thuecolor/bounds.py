@@ -253,27 +253,6 @@ def optimize(series: SeriesBound, tol: float = 1e-9) -> OptimizeResult:
     return OptimizeResult(alpha=alpha, gamma=f(alpha), interior=True)
 
 
-def root_cubic(tol: float = 1e-12) -> float:
-    """The unique real root above 1 of 4x^3 - 20x^2 - 4x - 3.
-
-    This is the closed-form value of the weak-total optimization
-    minimum; bisection is plenty at this scale.
-    """
-    def p(x: float) -> float:
-        return ((4 * x - 20) * x - 4) * x - 3
-
-    a, b = 1.0, 16.0
-    if p(a) >= 0 or p(b) <= 0:
-        raise RuntimeError("root bracket lost")
-    while b - a > tol:
-        mid = (a + b) / 2
-        if p(mid) < 0:
-            a = mid
-        else:
-            b = mid
-    return (a + b) / 2
-
-
 # ---------------------------------------------------------------------------
 # certification of the large-degree weak-total constants
 # ---------------------------------------------------------------------------

@@ -33,15 +33,13 @@ color of a group has the same subtree.  Each coloring lies in exactly
 one subtree and is counted once, by an integer weight, so the count
 stays exact.  Uniform lists give one group per depth.
 
-Two references share no table with the counter, for cross-validation
-on small instances: the enumerator is the search-cut route, which
-colors one element at a time and drops a partial coloring as soon as
-the independent square search finds a square in it, and a brute-force
-counter filters every total assignment through that search.
+The enumerator shares no table with the counter, for cross-validation
+on small instances: it is the search-cut route, which colors one element
+at a time and drops a partial coloring as soon as the independent square
+search finds a square in it.
 """
 from __future__ import annotations
 
-import itertools
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -60,7 +58,6 @@ from .repetition import (
     Color,
     Regime,
     find_violating_path,
-    is_valid,
     relevant_elements,
 )
 
@@ -371,23 +368,6 @@ def enumerate_colorings(
             grown = {**partial, elems[d]: c}
             if find_violating_path(g, grown, regime) is None:
                 stack.append(grown)
-
-
-def count_colorings_bruteforce(
-    g: GeneralizedGraph, lists: ListAssignment, regime: Regime
-) -> int:
-    """Filter every total assignment through the independent square search.
-
-    Exponential; only for cross-validating the pruned counter on tiny
-    instances.
-    """
-    elems = relevant_elements(g, regime)
-    palettes = [sorted(lists.colors(x)) for x in elems]
-    total = 0
-    for combo in itertools.product(*palettes):
-        if is_valid(g, dict(zip(elems, combo)), regime):
-            total += 1
-    return total
 
 
 def count_violations(

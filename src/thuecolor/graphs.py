@@ -145,6 +145,24 @@ class GeneralizedGraph:
             return self._ee_nbrs
         return self._mixed_nbrs
 
+    @cached_property
+    def _index(self) -> dict[ElementId, int]:
+        """Board index of every element, its place in sorted order; keys in order."""
+        return {x: i for i, x in enumerate(sorted(self.elements))}
+
+    @cached_property
+    def _boards(self) -> dict[PathKind, tuple[tuple[int, ...], ...]]:
+        return {}
+
+    def _board(self, kind: PathKind) -> tuple[tuple[int, ...], ...]:
+        """Per board index, the sorted indices of the elements that can follow
+        it in a path of ``kind``; index order is element order."""
+        if kind not in self._boards:
+            table, index = self._neighbor_table(kind), self._index
+            rows = (table.get(x, ()) for x in index)
+            self._boards[kind] = tuple(tuple(index[y] for y in row) for row in rows)
+        return self._boards[kind]
+
     def neighbors(self, x: ElementId, kind: PathKind) -> tuple[ElementId, ...]:
         """Elements that can follow ``x`` in a path of the given kind."""
         return self._neighbor_table(kind).get(x, ())
@@ -238,24 +256,6 @@ class Path:
 
     def sort_key(self) -> tuple:
         return (len(self.elements), _KIND_RANK[self.kind], self.elements)
-
-
-def path_is_valid(g: GeneralizedGraph, path: Path) -> bool:
-    """Check the path invariants directly against the graph relations."""
-    elems = path.elements
-    if len(set(elems)) != len(elems):
-        return False
-    domain = g.domain(path.kind)
-    if any(x not in domain for x in elems):
-        return False
-    if path.kind is PathKind.MIXED:
-        for a, b in zip(elems, elems[1:]):
-            if a.kind == b.kind:
-                return False
-    for a, b in zip(elems, elems[1:]):
-        if b not in g.neighbors(a, path.kind):
-            return False
-    return True
 
 
 def walk(

@@ -9,7 +9,9 @@ edge palettes are shared, and mixed-path squares of odd half-length
 ``find_violating_path`` does not enumerate paths: it grows them one
 element per level, grouped by the color word they spell, so a single
 pass covers every half-length (``square_levels``); ``find_squares_through``
-runs the same levels on the ball around a few elements.
+runs the same levels on the ball around a few elements.  Both run on the
+graph's one indexed board: elements as their sorted indices, and colors
+as a list by index, so index order is element order.
 """
 from __future__ import annotations
 
@@ -98,89 +100,111 @@ def find_violating_path(
     A, B from one group with B[0] adjacent to A[-1] and A, B disjoint.
     The two halves of a square end at distinct elements at every level,
     so a group whose paths all end at one element is dropped, and the
-    groups die out on a square-free coloring.
+    groups die out on a square-free coloring.  The pass runs on the
+    graph's board; the coloring is read onto it once.
     """
-    levels = square_levels(g, coloring, regime)
-    return next((min(squares, key=Path.sort_key) for squares in levels if squares), None)
+    order = list(g._index)
+    colors = [coloring.get(x) for x in order]
+    least = next((min(keys) for keys in square_levels(g, colors, regime) if keys), None)
+    if least is None:
+        return None
+    _, rank, s = least
+    return Path(regime.path_kinds[rank], tuple(order[i] for i in s))
 
 
-def square_levels(g: GeneralizedGraph, coloring: Coloring, regime: Regime):
-    """Every square path of half 1, 2, ...: one list per level, while groups remain."""
-    colored = g.elements.intersection(coloring)
+def square_levels(g: GeneralizedGraph, colors: Sequence[Color | None], regime: Regime):
+    """Every square of half 1, 2, ...: one list of keys per level, while groups remain.
+
+    ``colors[i]`` colors board element i, None when uncolored.  A key is
+    ``(2h, kind's place in regime.path_kinds, indices)``; keys sort as ``Path.sort_key``.
+    """
     level = []
-    for kind in regime.path_kinds:
-        domain = g.domain(kind) & colored
-        adj = g._neighbor_table(kind)
-        if adj.keys() != domain:  # uncolored or isolated elements
-            adj = {x: tuple(y for y in adj.get(x, ()) if y in domain) for x in domain}
-        classes: dict[Color, list[tuple[ElementId, ...]]] = {}
-        for x in domain:
-            classes.setdefault(coloring[x], []).append((x,))
-        level.append((kind, adj, _split_ends(classes.values())))
+    for rank, kind in enumerate(regime.path_kinds):
+        nbrs = g._board(kind)
+        domain = [i for i, nb in enumerate(nbrs) if nb and colors[i] is not None]
+        if len(domain) < len(g._neighbor_table(kind)):  # uncolored elements
+            nbrs = [tuple(y for y in nb if colors[y] is not None) for nb in nbrs]
+        level.append((rank, nbrs, _groups(domain, colors)))
     while level:
-        yield [Path(kind, s) for kind, adj, groups in level for s in _squares(adj, groups)]
+        yield [(len(s), rank, s) for rank, nbrs, groups in level for s in _squares(nbrs, groups)]
         level = [
-            (kind, adj, nxt)
-            for kind, adj, groups in level
-            if (nxt := _next_groups(adj, coloring, groups))
+            (rank, nbrs, nxt)
+            for rank, nbrs, groups in level
+            if (nxt := _next_groups(nbrs, colors, groups))
         ]
+
+
+def _groups(elements, colors):
+    """The one-element paths, grouped by color, whose ends are not all one."""
+    classes: dict[Color, list[tuple[int, ...]]] = {}
+    for x in elements:
+        classes.setdefault(colors[x], []).append((x,))
+    return _split_ends(classes.values())
 
 
 def _split_ends(groups):
     """The groups whose paths end at two or more distinct elements."""
-    return [grp for grp in groups if any(p[-1] != grp[0][-1] for p in grp)]
+    out = []
+    for grp in groups:
+        end = grp[0][-1]
+        for p in grp:
+            if p[-1] != end:
+                out.append(grp)
+                break
+    return out
 
 
-def _next_groups(adj, coloring: Coloring, groups):
+def _next_groups(nbrs, colors, groups):
     """Extend every path by one element, splitting each group by its color."""
     out = []
     for grp in groups:
-        children: dict[Color, list[tuple[ElementId, ...]]] = {}
+        children: dict[Color, list[tuple[int, ...]]] = {}
         for p in grp:
-            for y in adj[p[-1]]:
+            for y in nbrs[p[-1]]:
                 if y not in p:
-                    children.setdefault(coloring[y], []).append(p + (y,))
+                    children.setdefault(colors[y], []).append(p + (y,))
         out.extend(_split_ends(children.values()))
     return out
 
 
-def _squares(adj, groups):
+def _squares(nbrs, groups):
     """Every A + B over the pairs of one group that form a square, canonical."""
     for grp in groups:
-        starts: dict[ElementId, list[tuple[ElementId, ...]]] = {}
+        starts: dict[int, list[tuple[int, ...]]] = {}
         for p in grp:
             starts.setdefault(p[0], []).append(p)
         for a in grp:
-            for y in adj[a[-1]]:
+            for y in nbrs[a[-1]]:
                 for b in starts.get(y, ()):
                     if a[0] < b[-1] and set(a).isdisjoint(b):
                         yield a + b
 
 
 def find_squares_through(
-    g: GeneralizedGraph, coloring: Coloring, regime: Regime, half: int, near: set[ElementId]
-) -> list[Path]:
-    """Every square path of half-length ``half`` with an element in ``near``.
+    g: GeneralizedGraph, colors: Sequence[Color], regime: Regime, half: int, near: set[int]
+) -> tuple[list[tuple], bool]:
+    """Keys of every square of half-length ``half`` with an element in ``near``,
+    and whether the search covered the whole domain of one of the path kinds.
 
-    Such a path lies within 2 * half - 1 steps of ``near``, so the levels of
-    ``find_violating_path`` run on that ball, with the neighbour tables cut to it.
+    Such a square lies within 2 * half - 1 steps of ``near``, so the levels of
+    ``square_levels`` run on that ball, with the board cut to it.  ``colors``
+    is on the board and must color every element of the regime.
     """
-    out = []
-    for kind in regime.path_kinds:
-        adj = g._neighbor_table(kind)  # isolated elements lie on no square
-        ball = frontier = {x for x in near if x in adj and x in coloring}
+    out, whole = [], False
+    for rank, kind in enumerate(regime.path_kinds):
+        nbrs = g._board(kind)
+        ball = frontier = {x for x in near if nbrs[x]}  # isolated elements lie on no square
         for _ in range(2 * half - 1):
-            frontier = {y for x in frontier for y in adj[x] if y in coloring} - ball
+            frontier = {y for x in frontier for y in nbrs[x]} - ball
             ball |= frontier
-        cut = {x: tuple(y for y in adj[x] if y in ball) for x in ball}
-        classes: dict[Color, list[tuple[ElementId, ...]]] = {}
-        for x in ball:
-            classes.setdefault(coloring[x], []).append((x,))
-        groups = _split_ends(classes.values())
+        whole = whole or len(ball) == len(g._neighbor_table(kind))
+        # paths of one element never grow, so half 1 needs no cut
+        cut = nbrs if half == 1 else {x: tuple(y for y in nbrs[x] if y in ball) for x in ball}
+        groups = _groups(ball, colors)
         for _ in range(half - 1):
-            groups = _next_groups(cut, coloring, groups)
-        out.extend(Path(kind, s) for s in _squares(cut, groups) if not near.isdisjoint(s))
-    return out
+            groups = _next_groups(cut, colors, groups)
+        out.extend((2 * half, rank, s) for s in _squares(cut, groups) if not near.isdisjoint(s))
+    return out, whole
 
 
 def require_total(g: GeneralizedGraph, coloring: Coloring, regime: Regime) -> None:

@@ -7,19 +7,24 @@ reproducible: all randomness flows from a 64-bit seed through PCG64
 streams split with SeedSequence.
 
 Each step redraws the least square by ``Path.sort_key`` (half, then kind,
-then elements), the one a full ``find_violating_path`` scan returns.  For
-h <= KEPT_HALF the loop keeps the current squares of half h, seeded by one
+then elements), the one a full ``find_violating_path`` scan returns.  The
+loop works on the graph's indexed board and keeps the current squares of
+every half up to the longest seen, at least KEPT_HALF, seeded by one
 ``square_levels`` pass up to the first half with a square.  Lazily, shortest
 half first, it swaps those through elements redrawn since the last refresh
-for what ``find_squares_through`` finds there, and it scans the whole graph
-only when every set is empty.  This is exact:
+for what ``find_squares_through`` finds on their ball, and it scans the whole
+graph only when every set is empty.  A scan that finds a longer half keeps
+it, from one more pass, and the halves below it, empty.  A half above
+KEPT_HALF whose ball is the whole graph is as dear as a scan, so from then on
+neither it nor a longer half is kept.  This is exact:
 
 * a square that avoids the redrawn elements keeps its colors;
 * a square of half h through a redrawn element lies within 2h - 1 steps of it;
-* keys order by length first, so the least kept square is the least square.
+* a scan returns the least square, and keys order by length first.
 """
 from __future__ import annotations
 
+import itertools
 import statistics
 from dataclasses import dataclass
 
@@ -58,47 +63,59 @@ def resample_color(
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     elems = relevant_elements(g, regime)
-    palettes = {}
-    for x in elems:
-        palette = tuple(sorted(lists.colors(x)))
-        if not palette:
+    board = [g._index[x] for x in elems]
+    palettes: list[tuple[Color, ...]] = [()] * len(g._index)  # by board index
+    for x, i in zip(elems, board):
+        palettes[i] = tuple(sorted(lists.colors(x)))
+        if not palettes[i]:
             raise ValueError(f"empty color list for element {x}")
-        palettes[x] = palette
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    coloring = {x: palettes[x][int(rng.integers(len(palettes[x])))] for x in elems}
+    colors: list[Color | None] = [None] * len(g._index)
+    for i in board:
+        colors[i] = palettes[i][int(rng.integers(len(palettes[i])))]
     steps = 0
     halves: list[int] = []
-    live: list[set[tuple]] = [set() for _ in range(KEPT_HALF)]  # sort keys, half h + 1
-    stale = [set(elems) for _ in range(KEPT_HALF)]  # redrawn since live[h] was refreshed
-    levels = square_levels(g, coloring, regime)
+    live: list[set[tuple]] = [set() for _ in range(KEPT_HALF)]  # square keys, half h + 1
+    stale = [set(board) for _ in range(KEPT_HALF)]  # redrawn since live[h] was refreshed
+    cap = len(elems)  # halves from cap up are never kept; at first no square is that long
+    levels = square_levels(g, colors, regime)
     for h in range(KEPT_HALF):  # seed up to the first half with a square
-        live[h] = {p.sort_key() for p in next(levels, [])}
+        live[h] = set(next(levels, []))
         stale[h].clear()
         if live[h]:
             break
     while True:
-        for h in range(KEPT_HALF):
+        violation = None
+        for h in range(len(live)):
             if stale[h]:
-                live[h] = {key for key in live[h] if stale[h].isdisjoint(key[2])}
-                live[h].update(p.sort_key() for p in
-                               find_squares_through(g, coloring, regime, h + 1, stale[h]))
+                found, whole = find_squares_through(g, colors, regime, h + 1, stale[h])
+                if whole and h >= KEPT_HALF:  # a full scan: stop keeping halves from h + 1
+                    del live[h:], stale[h:]
+                    cap = h + 1
+                    break
+                live[h] = {key for key in live[h] if stale[h].isdisjoint(key[2])}.union(found)
                 stale[h].clear()
             if live[h]:
                 violation = min(live[h])[2]
                 break
-        else:
+        if violation is None:
+            coloring = {x: colors[i] for x, i in zip(elems, board)}
             found = find_violating_path(g, coloring, regime)
             if found is None:
-                return ResampleRun(seed, max_steps, steps, "success", dict(coloring),
-                                   tuple(halves))
-            violation = found.elements
+                return ResampleRun(seed, max_steps, steps, "success", coloring, tuple(halves))
+            violation = tuple(g._index[x] for x in found.elements)
+            half = len(violation) // 2
+            if len(live) < half < cap:  # keep every half up to it; those between are empty
+                *_, last = itertools.islice(square_levels(g, colors, regime), half)
+                live += [set() for _ in range(len(live), half - 1)] + [set(last)]
+                stale += [set() for _ in range(len(stale), half)]
         if steps >= max_steps:
             return ResampleRun(seed, max_steps, steps, "exhausted", None, tuple(halves))
         half = len(violation) // 2
         halves.extend([0] * (half - len(halves)))
         halves[half - 1] += 1
-        for x in violation[half:]:
-            coloring[x] = palettes[x][int(rng.integers(len(palettes[x])))]
+        for i in violation[half:]:
+            colors[i] = palettes[i][int(rng.integers(len(palettes[i])))]
         for redrawn in stale:
             redrawn.update(violation[half:])
         steps += 1

@@ -1,0 +1,63 @@
+"""Reference routes that the tests compare the package against; nothing in
+the package calls them."""
+import itertools
+
+from thuecolor.counting import ListAssignment
+from thuecolor.graphs import GeneralizedGraph, Path, PathKind
+from thuecolor.repetition import Regime, is_valid, relevant_elements
+
+
+def count_colorings_bruteforce(
+    g: GeneralizedGraph, lists: ListAssignment, regime: Regime
+) -> int:
+    """Filter every total assignment through the independent square search.
+
+    Exponential; only for cross-validating the pruned counter on tiny
+    instances.
+    """
+    elems = relevant_elements(g, regime)
+    palettes = [sorted(lists.colors(x)) for x in elems]
+    total = 0
+    for combo in itertools.product(*palettes):
+        if is_valid(g, dict(zip(elems, combo)), regime):
+            total += 1
+    return total
+
+
+def path_is_valid(g: GeneralizedGraph, path: Path) -> bool:
+    """Check the path invariants directly against the graph relations."""
+    elems = path.elements
+    if len(set(elems)) != len(elems):
+        return False
+    domain = g.domain(path.kind)
+    if any(x not in domain for x in elems):
+        return False
+    if path.kind is PathKind.MIXED:
+        for a, b in zip(elems, elems[1:]):
+            if a.kind == b.kind:
+                return False
+    for a, b in zip(elems, elems[1:]):
+        if b not in g.neighbors(a, path.kind):
+            return False
+    return True
+
+
+def root_cubic(tol: float = 1e-12) -> float:
+    """The unique real root above 1 of 4x^3 - 20x^2 - 4x - 3.
+
+    This is the closed-form value of the weak-total optimization
+    minimum; bisection is plenty at this scale.
+    """
+    def p(x: float) -> float:
+        return ((4 * x - 20) * x - 4) * x - 3
+
+    a, b = 1.0, 16.0
+    if p(a) >= 0 or p(b) <= 0:
+        raise RuntimeError("root bracket lost")
+    while b - a > tol:
+        mid = (a + b) / 2
+        if p(mid) < 0:
+            a = mid
+        else:
+            b = mid
+    return (a + b) / 2

@@ -11,7 +11,6 @@ from thuecolor.bounds import (
     SERIES_PRESETS,
     certify_delta_inequalities,
     optimize,
-    root_cubic,
     sum_weighted_geometric,
 )
 from thuecolor.corpus import builtin_corpus, path_dominance_records
@@ -22,6 +21,8 @@ from thuecolor.repetition import Regime, find_square, is_valid, relevant_element
 from thuecolor.resample import resample_color
 
 import random
+
+from reference import root_cubic
 
 
 def _report(num: int, label: str, ok: bool, detail: str) -> None:

@@ -13,11 +13,12 @@ from thuecolor.bounds import (
     certify_delta_inequalities,
     eval_bound,
     optimize,
-    root_cubic,
     sum_geometric,
     sum_weighted_geometric,
 )
 from thuecolor.growth import claim_family
+
+from reference import root_cubic
 
 CBRT2 = 2.0 ** (1.0 / 3.0)
 CBRT4 = 2.0 ** (2.0 / 3.0)

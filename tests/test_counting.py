@@ -15,7 +15,6 @@ from thuecolor.counting import (
     coloring_from_json,
     coloring_to_json,
     count_colorings,
-    count_colorings_bruteforce,
     count_violations,
     element_from_json,
     element_to_json,
@@ -35,6 +34,8 @@ from thuecolor.graphs import (
 )
 from thuecolor.growth import check_growth, claim_family
 from thuecolor.repetition import Regime, is_valid, relevant_elements
+
+from reference import count_colorings_bruteforce
 
 
 def _rand_graph(rnd, n_max=5):

@@ -24,12 +24,13 @@ from thuecolor.graphs import (
     graph_from_json,
     graph_to_json,
     path_graph,
-    path_is_valid,
     petersen_graph,
     vertex,
     walk,
 )
 from thuecolor.repetition import Regime, find_violating_path
+
+from reference import path_is_valid
 
 
 def _rand_graph(rnd, n_max=7, extra=0.5):

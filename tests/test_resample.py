@@ -12,6 +12,7 @@ from thuecolor.graphs import complete_graph, cycle_graph, delete, path_graph, ve
 from thuecolor.growth import claim_family
 from thuecolor.repetition import Regime, find_violating_path, is_valid, relevant_elements
 from thuecolor.resample import (
+    KEPT_HALF,
     RNG_ALGORITHM,
     RandomGraphSpec,
     ResampleRun,
@@ -206,22 +207,30 @@ def test_halves_bound_the_full_scans(monkeypatch):
 
 
 def _spy_calls(monkeypatch):
-    """Record, in order, the searches that resample_color makes; the seeding
-    pass is recorded with the number of levels it was asked for."""
+    """Record, in order, the searches that resample_color makes.  A seeding
+    pass is recorded with the number of levels it was asked for, a ball
+    search with its half and whether its ball was the whole graph."""
     calls = []
     levels = thuecolor.resample.square_levels
+    balls = thuecolor.resample.find_squares_through
+    full_scan = thuecolor.resample.find_violating_path
 
     def seeding(*args):
         calls.append(["square_levels", 0])
+        record = calls[-1]
         for level in levels(*args):
-            calls[-1][1] += 1
+            record[1] += 1
             yield level
 
+    def ball(g, colors, regime, half, near):
+        found, whole = balls(g, colors, regime, half, near)
+        calls.append(("find_squares_through", half, whole))
+        return found, whole
+
     monkeypatch.setattr(thuecolor.resample, "square_levels", seeding)
-    for name in ("find_squares_through", "find_violating_path"):
-        search = getattr(thuecolor.resample, name)
-        monkeypatch.setattr(thuecolor.resample, name,
-                            lambda *args, _s=search, _n=name: calls.append(_n) or _s(*args))
+    monkeypatch.setattr(thuecolor.resample, "find_squares_through", ball)
+    monkeypatch.setattr(thuecolor.resample, "find_violating_path",
+                        lambda *args: calls.append("find_violating_path") or full_scan(*args))
     return calls
 
 
@@ -242,8 +251,16 @@ def test_start_without_short_squares(monkeypatch, word, outcome, steps, halves):
     # the three kept halves come from levels 1 to 3 of one pass, and one
     # full scan follows it; no ball search runs before the first step
     assert calls[:2] == [["square_levels", 3], "find_violating_path"]
-    assert calls[2:] == ([] if steps == 0 else
-                         ["find_squares_through"] * 3 + ["find_violating_path"])
+    if steps == 0:
+        assert calls[2:] == []
+        return
+    # the scan's half-4 square makes half 4 kept, seeded by a pass of four
+    # levels; after the step the kept halves are refreshed on their balls
+    # around v4..v7, which are all of P8 from half 3 on, so half 4 stops
+    # being kept and a full scan finds the square again
+    assert calls[2:] == [["square_levels", 4]] + [
+        ("find_squares_through", h, h >= 3) for h in (1, 2, 3, 4)
+    ] + ["find_violating_path"]
 
 
 def test_start_with_a_short_square_seeds_up_to_it(monkeypatch):
@@ -252,6 +269,55 @@ def test_start_with_a_short_square_seeds_up_to_it(monkeypatch):
     run = resample_color(g, lists, Regime.VERTEX, seed=0, max_steps=0)
     assert (run.outcome, run.halves) == ("exhausted", ())
     assert calls == [["square_levels", 2]]  # 1 2 1 2 has half 2; no scan
+    # the square survives the forced redraw of its second half: the ball
+    # searches of halves 1 and 2 find it again, and half 3 stays stale
+    calls.clear()
+    run = resample_color(g, lists, Regime.VERTEX, seed=0, max_steps=1)
+    assert (run.outcome, run.halves) == ("exhausted", (0, 1))
+    assert calls == [["square_levels", 2], ("find_squares_through", 1, False),
+                     ("find_squares_through", 2, False)]
+
+
+def test_hit_scans_bound_by_the_long_halves(monkeypatch):
+    # a full scan that hits a square finds a half above the kept ones, which
+    # is kept from then on: such scans number at most the distinct halves of
+    # 4 or more redrawn (P100 at 3 colors reaches half 6 within 600 steps)
+    hits = []
+    full_scan = thuecolor.resample.find_violating_path
+
+    def counted(*args):
+        found = full_scan(*args)
+        if found is not None:
+            hits.append(len(found) // 2)
+        return found
+
+    monkeypatch.setattr(thuecolor.resample, "find_violating_path", counted)
+    g = path_graph(100)
+    for seed in (0, 1):
+        hits.clear()
+        run = resample_color(g, ListAssignment.uniform(g, 3), Regime.VERTEX, seed, 600)
+        assert run.outcome == "exhausted" and len(run.halves) == 6
+        long_halves = {h for h, n in enumerate(run.halves, 1) if h > KEPT_HALF and n}
+        assert 1 <= len(hits) <= len(long_halves)
+        assert set(hits) <= long_halves
+
+
+def test_whole_graph_balls_stop_the_growth(monkeypatch):
+    # on this cubic graph the first ball of half 5 to cover the graph comes
+    # before any of half 4 does; from then on neither half 5 nor a longer
+    # one is searched on a ball, and the run is the full-scan loop's
+    g = _cubic(400, 400)
+    lists = ListAssignment.uniform(g, 9)
+    calls = _spy_calls(monkeypatch)
+    run = resample_color(g, lists, Regime.VERTEX, 2, 100_000)
+    balls = [c for c in calls if c[0] == "find_squares_through"]
+    whole = [i for i, (_, h, w) in enumerate(balls) if w and h > KEPT_HALF]
+    assert whole and balls[whole[0]][1] == 5
+    for i in whole:
+        cap = balls[i][1]
+        assert all(h < cap for _, h, _ in balls[i + 1:])
+    monkeypatch.undo()
+    assert run == _reference_resample(g, lists, Regime.VERTEX, 2, 100_000)
 
 
 def test_zero_step_budget():
