@@ -48,11 +48,11 @@ from .graphs import (
     ElementId,
     ElementKind,
     GeneralizedGraph,
+    _walk_board,
     delete,
     edge,
     is_int,
     vertex,
-    walk,
 )
 from .repetition import (
     Color,
@@ -209,7 +209,9 @@ def _compile(
             f"{len(elems)} elements to color exceed the counter's depth limit of "
             f"{depth_limit} (the recursion limit less {_CALLER_FRAMES} frames)"
         )
-    pos = {x: d for d, x in enumerate(elems)}
+    depth: list[int] = [0] * len(g._order)  # by board index
+    for d, x in enumerate(elems):
+        depth[g._index[x]] = d
     palettes = [tuple(sorted(lists.colors(x))) for x in elems]
     squares: list[dict[tuple, None]] = [dict() for _ in elems]
     for kind in regime.path_kinds:
@@ -217,9 +219,9 @@ def _compile(
         for length in range(2, len(domain) + 1, 2):
             half = length // 2
             found = False
-            for seq in walk(g, kind, length):
+            for seq in _walk_board(g, kind, length):
                 found = True
-                idx = [pos[x] for x in seq]
+                idx = [depth[i] for i in seq]
                 # each pair as (later, earlier), the pair of the last element
                 # first; a path and its reverse give the same entry
                 pairs = sorted(

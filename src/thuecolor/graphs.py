@@ -5,8 +5,8 @@ still present, and deleting elements changes presence only.  The three
 relations (vertex-vertex, edge-edge, vertex-edge incidence) are derived
 from the ends restricted to present elements, so they persist when
 elements are deleted: removing a vertex leaves its two edges adjacent,
-removing an edge leaves its endpoints adjacent.  Simple paths of three
-kinds are enumerated over these relations:
+removing an edge leaves its endpoints adjacent.  Paths are of three
+kinds, each over one relation:
 
 * vertex paths: consecutive vertices in the vertex-vertex relation,
 * edge paths: consecutive edges in the edge-edge relation (repeated
@@ -18,13 +18,13 @@ A path of length L has L elements.  Paths are undirected: a sequence
 and its reverse denote the same path, canonicalized to the
 lexicographically smaller element sequence.
 
-Every path enumeration in the package goes through one generator,
-``walk``: all paths of a kind and length, or those through one element
-(``through``).  Two searches do not enumerate paths:
-``count_paths_containing`` counts the paths through every element from
-directed subtree counts, taking the last two levels of each path from
-free-neighbour counts so that no prefix longer than L - 3 is visited,
-and the square search of ``repetition`` grows paths by color word.
+Each relation becomes one neighbour table, the graph's board
+(``GeneralizedGraph._board``): per element, by its place in sorted
+order, the sorted places of the elements that can follow it.  Every
+path search reads it: ``walk`` (the paths of a kind and length, or
+those through one element), ``count_paths_containing`` (the paths
+through every element, counted without building them), the counter's
+compiler and the square search of ``repetition``.
 """
 from __future__ import annotations
 
@@ -127,51 +127,49 @@ class GeneralizedGraph:
         return x in self.vertices or x in self.edges
 
     @cached_property
-    def _vv_nbrs(self) -> dict[ElementId, tuple[ElementId, ...]]:
-        return _neighbor_map(self.vv_adj)
-
-    @cached_property
-    def _ee_nbrs(self) -> dict[ElementId, tuple[ElementId, ...]]:
-        return _neighbor_map(self.ee_adj)
-
-    @cached_property
-    def _mixed_nbrs(self) -> dict[ElementId, tuple[ElementId, ...]]:
-        return _neighbor_map(self.ve_inc)
-
-    def _neighbor_table(self, kind: PathKind) -> dict[ElementId, tuple[ElementId, ...]]:
-        if kind is PathKind.VERTEX:
-            return self._vv_nbrs
-        if kind is PathKind.EDGE:
-            return self._ee_nbrs
-        return self._mixed_nbrs
+    def _order(self) -> tuple[ElementId, ...]:
+        """Every element in sorted order; board index i is element ``_order[i]``."""
+        return tuple(sorted(self.elements))
 
     @cached_property
     def _index(self) -> dict[ElementId, int]:
-        """Board index of every element, its place in sorted order; keys in order."""
-        return {x: i for i, x in enumerate(sorted(self.elements))}
+        """Board index of every element, its place in ``_order``; keys in order."""
+        return {x: i for i, x in enumerate(self._order)}
 
     @cached_property
     def _boards(self) -> dict[PathKind, tuple[tuple[int, ...], ...]]:
         return {}
 
+    @cached_property
+    def _linked(self) -> dict[PathKind, int]:
+        """Per path kind, how many elements have a neighbour; ``_board`` fills it."""
+        return {}
+
     def _board(self, kind: PathKind) -> tuple[tuple[int, ...], ...]:
-        """Per board index, the sorted indices of the elements that can follow
-        it in a path of ``kind``; index order is element order."""
+        """Per board index, the sorted indices of the elements that can follow it in
+        a path of ``kind``: the graph's one neighbour table, read by every path search."""
         if kind not in self._boards:
-            table, index = self._neighbor_table(kind), self._index
-            rows = (table.get(x, ()) for x in index)
-            self._boards[kind] = tuple(tuple(index[y] for y in row) for row in rows)
+            pairs = (self.vv_adj if kind is PathKind.VERTEX
+                     else self.ee_adj if kind is PathKind.EDGE else self.ve_inc)
+            index = self._index
+            rows: list[list[int]] = [[] for _ in index]
+            for a, b in pairs:
+                rows[index[a]].append(index[b])
+                rows[index[b]].append(index[a])
+            self._boards[kind] = tuple(tuple(sorted(row)) for row in rows)
+            self._linked[kind] = sum(1 for row in rows if row)
         return self._boards[kind]
 
     def neighbors(self, x: ElementId, kind: PathKind) -> tuple[ElementId, ...]:
         """Elements that can follow ``x`` in a path of the given kind."""
-        return self._neighbor_table(kind).get(x, ())
+        i = self._index.get(x)
+        return () if i is None else tuple(map(self._order.__getitem__, self._board(kind)[i]))
 
     def degree(self, v: ElementId) -> int:
         """Number of edges incident to the vertex ``v``."""
         if v not in self.vertices:
             raise ValueError(f"not a vertex of this graph: {v}")
-        return len(self._mixed_nbrs.get(v, ()))
+        return len(self._board(PathKind.MIXED)[self._index[v]])
 
     @property
     def max_degree(self) -> int:
@@ -186,16 +184,6 @@ class GeneralizedGraph:
         if kind is PathKind.EDGE:
             return self.edges
         return self.elements
-
-
-def _neighbor_map(
-    pairs: Iterable[tuple[ElementId, ElementId]],
-) -> dict[ElementId, tuple[ElementId, ...]]:
-    out: dict[ElementId, set[ElementId]] = {}
-    for a, b in pairs:
-        out.setdefault(a, set()).add(b)
-        out.setdefault(b, set()).add(a)
-    return {x: tuple(sorted(nbrs)) for x, nbrs in out.items()}
 
 
 def from_standard(
@@ -271,22 +259,31 @@ def walk(
     with ``seq[0] <= seq[-1]``.  Without ``through`` the walk starts at
     every element in sorted order; with ``through=x`` it places x at each
     position in turn, grows the part after x, then the reversed part
-    before x.  Neighbours are tried in ``g.neighbors`` order.
+    before x.  Neighbours are tried in index order on the graph's board,
+    which is element order.
     """
+    element = g._order.__getitem__
+    return (tuple(map(element, seq)) for seq in _walk_board(g, kind, length, through))
+
+
+def _walk_board(
+    g: GeneralizedGraph, kind: PathKind, length: int, through: ElementId | None = None
+) -> Iterator[list[int]]:
+    """``walk`` on board indices: one list, refilled per path, so read each before the next."""
     if length < 1:
         raise ValueError("path length must be positive")
     domain = g.domain(kind)
     if length > len(domain):
         return
     if through is None:
-        firsts, positions = sorted(domain), (0,)
+        firsts, positions = sorted(map(g._index.__getitem__, domain)), (0,)
     elif through in domain:
-        firsts, positions = (through,), range(length)
+        firsts, positions = (g._index[through],), range(length)
     else:
         return
-    nbrs = g._neighbor_table(kind)
-    seq: list = [None] * length
-    used: set[ElementId] = set()
+    nbrs = g._board(kind)
+    seq = [0] * length
+    used = [False] * len(nbrs)
     for j in positions:
         # the first element at j, then the positions after j, then those
         # before it, each grown from its placed neighbour
@@ -298,20 +295,20 @@ def walk(
         while stack:
             t = len(stack) - 1
             for y in stack[t]:
-                if y not in used:
+                if not used[y]:
                     break
             else:
                 stack.pop()
                 if t:
-                    used.remove(seq[plan[t - 1][0]])
+                    used[seq[plan[t - 1][0]]] = False
                 continue
             seq[plan[t][0]] = y
             if t == length - 1:
                 if seq[0] <= seq[-1]:
-                    yield tuple(seq)
+                    yield seq
             else:
-                used.add(y)
-                stack.append(iter(nbrs.get(seq[plan[t + 1][1]], ())))
+                used[y] = True
+                stack.append(iter(nbrs[seq[plan[t + 1][1]]]))
 
 
 def enumerate_paths_through(
@@ -343,9 +340,6 @@ def count_paths_containing(
     2 and 3 come from degrees alone.  Elements on no path get no entry.
     """
     domain = sorted(g.domain(kind))
-    index = {x: i for i, x in enumerate(domain)}
-    table = g._neighbor_table(kind)
-    nbrs = [tuple(index[y] for y in table.get(x, ())) for x in domain]
     out: dict[int, Counter] = {}
     for length in lengths:
         if length < 1:
@@ -355,12 +349,12 @@ def count_paths_containing(
         elif length > len(domain):
             out[length] = Counter()
         else:
-            credit = _directed_credits(nbrs, length)
-            out[length] = Counter({x: c // 2 for x, c in zip(domain, credit) if c})
+            credit = _directed_credits(g._board(kind), length)
+            out[length] = Counter({x: c // 2 for x, c in zip(g._order, credit) if c})
     return out
 
 
-def _directed_credits(nbrs: list[tuple[int, ...]], length: int) -> list[int]:
+def _directed_credits(nbrs: tuple[tuple[int, ...], ...], length: int) -> list[int]:
     """Per element index: twice the directed paths of ``length`` elements
     that hold it at a position p < length//2, plus those that hold it at
     the middle of an odd length.

@@ -103,7 +103,7 @@ def find_violating_path(
     groups die out on a square-free coloring.  The pass runs on the
     graph's board; the coloring is read onto it once.
     """
-    order = list(g._index)
+    order = g._order
     colors = [coloring.get(x) for x in order]
     least = next((min(keys) for keys in square_levels(g, colors, regime) if keys), None)
     if least is None:
@@ -122,7 +122,7 @@ def square_levels(g: GeneralizedGraph, colors: Sequence[Color | None], regime: R
     for rank, kind in enumerate(regime.path_kinds):
         nbrs = g._board(kind)
         domain = [i for i, nb in enumerate(nbrs) if nb and colors[i] is not None]
-        if len(domain) < len(g._neighbor_table(kind)):  # uncolored elements
+        if len(domain) < g._linked[kind]:  # uncolored elements
             nbrs = [tuple(y for y in nb if colors[y] is not None) for nb in nbrs]
         level.append((rank, nbrs, _groups(domain, colors)))
     while level:
@@ -197,7 +197,7 @@ def find_squares_through(
         for _ in range(2 * half - 1):
             frontier = {y for x in frontier for y in nbrs[x]} - ball
             ball |= frontier
-        whole = whole or len(ball) == len(g._neighbor_table(kind))
+        whole = whole or len(ball) == g._linked[kind]
         # paths of one element never grow, so half 1 needs no cut
         cut = nbrs if half == 1 else {x: tuple(y for y in nbrs[x] if y in ball) for x in ball}
         groups = _groups(ball, colors)

@@ -250,13 +250,13 @@ def test_compile_stops_at_the_first_length_without_a_path(monkeypatch):
     # a path of L + 2 elements holds one of L, so on isolated vertices the
     # walk at length 2 is the only one
     lengths = []
-    real_walk = thuecolor.counting.walk
+    real_walk = thuecolor.counting._walk_board
 
     def counted(g, kind, length, **kw):
         lengths.append(length)
         return real_walk(g, kind, length, **kw)
 
-    monkeypatch.setattr(thuecolor.counting, "walk", counted)
+    monkeypatch.setattr(thuecolor.counting, "_walk_board", counted)
     g = from_standard(200, [])
     one = ListAssignment.uniform(g, 1)
     assert count_colorings(g, one, Regime.VERTEX) == 1
@@ -311,12 +311,12 @@ def test_enumerate_colorings():
 def test_enumerator_shares_no_tables_with_the_counter(monkeypatch):
     # a walker that misses every path of 4 or more elements corrupts the
     # counter's tables; the enumerator searches the coloring itself
-    real_walk = thuecolor.counting.walk
+    real_walk = thuecolor.counting._walk_board
 
     def short_walk(g, kind, length, **kw):
         return real_walk(g, kind, length, **kw) if length < 4 else iter(())
 
-    monkeypatch.setattr(thuecolor.counting, "walk", short_walk)
+    monkeypatch.setattr(thuecolor.counting, "_walk_board", short_walk)
     g = path_graph(4)
     two = ListAssignment.uniform(g, 2)
     assert count_colorings(g, two, Regime.VERTEX) == 2  # 0101 and 1010 slip through

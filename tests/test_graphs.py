@@ -30,7 +30,7 @@ from thuecolor.graphs import (
 )
 from thuecolor.repetition import Regime, find_violating_path
 
-from reference import path_is_valid
+from reference import neighbors_from_ends, path_is_valid
 
 
 def _rand_graph(rnd, n_max=7, extra=0.5):
@@ -256,6 +256,51 @@ def test_count_paths_containing_on_deleted_graphs():
             for length in lengths:
                 assert tally[length] == _walk_tally(g, kind, length), (kind, length)
                 assert 0 not in tally[length].values()
+    assert seen["vv via deleted edge"] and seen["ee via deleted vertex"] and seen["isolated"]
+
+
+def _assert_board_matches_ends(g):
+    """Every board row, ``neighbors`` and ``degree`` against the ends."""
+    order = g._order
+    assert list(order) == sorted(g.elements)
+    assert g._index == {x: i for i, x in enumerate(order)}
+    for kind in PathKind:
+        board = g._board(kind)
+        assert len(board) == len(order)
+        linked = 0
+        for x, row in zip(order, board):
+            expected = neighbors_from_ends(g, x, kind)
+            assert row == tuple(g._index[y] for y in expected), (kind, x)
+            assert g.neighbors(x, kind) == expected, (kind, x)
+            linked += bool(expected)
+        assert g._linked[kind] == linked, kind
+    for v in g.vertices:
+        assert g.degree(v) == sum(v in g.ends[e] for e in g.edges), v
+
+
+@pytest.mark.parametrize("name", [name for name, _ in builtin_corpus()])
+def test_board_matches_ends_on_the_corpus(name):
+    _assert_board_matches_ends(dict(builtin_corpus())[name])
+
+
+def test_board_matches_ends_on_deleted_graphs():
+    rnd = random.Random(1618)
+    seen = Counter()
+    for _ in range(40):
+        g = _rand_graph(rnd, 6)
+        els = sorted(g.elements)
+        g = delete(g, rnd.sample(els, rnd.randint(1, len(els) // 2)))
+        seen["vv via deleted edge"] += any(
+            e not in g.edges and set(vs) <= g.vertices for e, vs in g.ends.items()
+        )
+        seen["ee via deleted vertex"] += any(
+            set(g.ends[a]) & set(g.ends[b]) - g.vertices
+            for a in g.edges for b in g.edges if a < b
+        )
+        seen["isolated"] += any(
+            not neighbors_from_ends(g, x, kind) for kind in PathKind for x in g.domain(kind)
+        )
+        _assert_board_matches_ends(g)
     assert seen["vv via deleted edge"] and seen["ee via deleted vertex"] and seen["isolated"]
 
 

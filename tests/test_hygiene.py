@@ -1,5 +1,6 @@
 """Source hygiene: every name a package module imports is used in that
-module, and every private name the package defines is read in it."""
+module, every private name the package defines is read in it, and only
+``graphs`` reads the relations that the neighbour board is built from."""
 import ast
 from pathlib import Path
 
@@ -104,3 +105,31 @@ def test_the_scan_sees_an_unread_private_name():
     defined = _private_defs(tree)
     assert set(defined) == {"_TABLE", "_kept", "_orphan", "_helper", "_C", "_used", "_stale"}
     assert {n for n in defined if n not in _read(tree)} == {"_TABLE", "_orphan", "_stale"}
+
+
+RELATIONS = {"vv_adj", "ee_adj", "ve_inc"}
+
+
+def _relations_read(tree: ast.Module) -> dict[str, int]:
+    """Relation attribute read -> its first line."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in RELATIONS:
+            names.setdefault(node.attr, node.lineno)
+    return names
+
+
+NOT_GRAPHS = [path for path in MODULES if path.name != "graphs.py"]
+
+
+@pytest.mark.parametrize("path", NOT_GRAPHS, ids=lambda p: p.name)
+def test_only_graphs_reads_the_relations(path):
+    # the board is the one neighbour table; a module that read a relation
+    # itself would build a second one
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert not _relations_read(tree), f"{path.name}: reads {_relations_read(tree)}"
+
+
+def test_the_scan_sees_a_relation_read():
+    tree = ast.parse("pairs = g.vv_adj | h.ee_adj\nvv_adj = 1\nprint(vv_adj)\n")
+    assert _relations_read(tree) == {"vv_adj": 1, "ee_adj": 1}
