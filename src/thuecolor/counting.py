@@ -327,7 +327,12 @@ def _count_symmetric(cp: _Compiled) -> int:
                 used[rep] = False
         return total
 
-    return rec(0)
+    # rec reaches itself through its closure; dropping it frees the tables
+    # now instead of at the collector's next run
+    try:
+        return rec(0)
+    finally:
+        del rec
 
 
 def count_colorings(
@@ -383,8 +388,8 @@ def count_violations(
     ``count(g) = |lists(x)| * count(g minus x) - count_violations``.
     It is computed from that identity by two counts.  This is exact
     because ``delete`` changes presence only and keeps every edge's ends,
-    so every relation pair between survivors persists and the paths of g
-    minus x are exactly the paths of g that avoid x.  A
+    so survivors stay linked exactly as in g and the paths of g minus x
+    are exactly the paths of g that avoid x.  A
     coloring of g is therefore valid exactly when it extends a valid
     coloring of g minus x by a color that completes no square through
     x, and the extensions that do complete one number the difference.

@@ -1,24 +1,23 @@
 """Generalized graphs whose vertices and edges are independently deletable.
 
 A graph is the ends of every edge it was built with plus the elements
-still present, and deleting elements changes presence only.  The three
-relations (vertex-vertex, edge-edge, vertex-edge incidence) are derived
-from the ends restricted to present elements, so they persist when
-elements are deleted: removing a vertex leaves its two edges adjacent,
-removing an edge leaves its endpoints adjacent.  Paths are of three
-kinds, each over one relation:
+still present, and deleting elements changes presence only.  Which
+present elements are linked is read from the ends by one rule, stated
+on ``GeneralizedGraph``, so links persist when elements are deleted:
+removing a vertex leaves its two edges linked, removing an edge leaves
+its endpoints linked.  A path is a sequence of distinct present elements,
+each linked to the next, of one of three kinds:
 
-* vertex paths: consecutive vertices in the vertex-vertex relation,
-* edge paths: consecutive edges in the edge-edge relation (repeated
-  intermediate vertices are permitted, the relation abstracts them),
-* mixed paths: strictly alternating vertices and edges chained by
-  incidence.
+* vertex paths: vertices only,
+* edge paths: edges only (an edge path may pass through one vertex of
+  G more than once),
+* mixed paths: strictly alternating vertices and edges.
 
 A path of length L has L elements.  Paths are undirected: a sequence
 and its reverse denote the same path, canonicalized to the
 lexicographically smaller element sequence.
 
-Each relation becomes one neighbour table, the graph's board
+Each kind has one neighbour table, the graph's board
 (``GeneralizedGraph._board``): per element, by its place in sorted
 order, the sorted places of the elements that can follow it.  Every
 path search reads it: ``walk`` (the paths of a kind and length, or
@@ -72,52 +71,34 @@ class GeneralizedGraph:
 
     It stores its present ``vertices`` and ``edges`` and the ``ends`` of
     every edge it was built with: two vertices in sorted order, present or
-    deleted, that deletion never changes.  The three relations are derived
-    from these by one rule, ends restricted to present elements:
+    deleted, that deletion never changes.  Adjacency follows from these by
+    one rule, ends restricted to present elements:
 
-    * ``vv_adj``: present vertices that are the two ends of some edge,
+    * two present vertices are linked when they are the ends of an edge,
       present or deleted;
-    * ``ee_adj``: present edges that share an end, present or not;
-    * ``ve_inc``: (vertex, edge) pairs of a present edge and a present end.
+    * two present edges are linked when they share an end, present or not;
+    * a present edge is linked to each of its present ends.
 
-    ``vv_adj`` and ``ee_adj`` hold unordered pairs stored with the smaller
-    element first.  Equality and hashing compare elements and relations.
+    The board (``_board``) is the rule's only derivation.  Equality
+    compares the present elements and the adjacency; hashing reads the
+    present elements alone.
     """
 
     vertices: frozenset[ElementId]
     edges: frozenset[ElementId]
     ends: Mapping[ElementId, tuple[ElementId, ElementId]]
 
-    @cached_property
-    def vv_adj(self) -> frozenset[tuple[ElementId, ElementId]]:
-        vs = self.vertices
-        return frozenset(p for p in self.ends.values() if p[0] in vs and p[1] in vs)
-
-    @cached_property
-    def ee_adj(self) -> frozenset[tuple[ElementId, ElementId]]:
-        at_end: dict[ElementId, list[ElementId]] = {}
-        for e in sorted(self.edges):
-            for v in self.ends[e]:
-                at_end.setdefault(v, []).append(e)
-        return frozenset(
-            p for edges_at in at_end.values() for p in itertools.combinations(edges_at, 2)
-        )
-
-    @cached_property
-    def ve_inc(self) -> frozenset[tuple[ElementId, ElementId]]:
-        vs = self.vertices
-        return frozenset((v, e) for e in self.edges for v in self.ends[e] if v in vs)
-
-    def _key(self) -> tuple:
-        return (self.vertices, self.edges, self.vv_adj, self.ee_adj, self.ve_inc)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GeneralizedGraph):
             return NotImplemented
-        return self._key() == other._key()
+        return (
+            self.vertices == other.vertices
+            and self.edges == other.edges
+            and all(self._board(kind) == other._board(kind) for kind in PathKind)
+        )
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash((self.vertices, self.edges))
 
     @property
     def elements(self) -> frozenset[ElementId]:
@@ -149,8 +130,17 @@ class GeneralizedGraph:
         """Per board index, the sorted indices of the elements that can follow it in
         a path of ``kind``: the graph's one neighbour table, read by every path search."""
         if kind not in self._boards:
-            pairs = (self.vv_adj if kind is PathKind.VERTEX
-                     else self.ee_adj if kind is PathKind.EDGE else self.ve_inc)
+            vs = self.vertices
+            if kind is PathKind.VERTEX:
+                pairs = [p for p in self.ends.values() if p[0] in vs and p[1] in vs]
+            elif kind is PathKind.MIXED:
+                pairs = [(v, e) for e in self.edges for v in self.ends[e] if v in vs]
+            else:
+                at_end: dict[ElementId, list[ElementId]] = {}
+                for e in self.edges:
+                    for v in self.ends[e]:
+                        at_end.setdefault(v, []).append(e)
+                pairs = [p for es in at_end.values() for p in itertools.combinations(es, 2)]
             index = self._index
             rows: list[list[int]] = [[] for _ in index]
             for a, b in pairs:
@@ -192,9 +182,7 @@ def from_standard(
     """Build a generalized graph from an ordinary simple graph.
 
     Vertices are 0..n-1; edge ``j`` of ``edge_list`` becomes the edge
-    element with index ``j``.  Two vertices are vv-adjacent when joined
-    by an edge, two edges are ee-adjacent when they share a vertex, and
-    a vertex is incident to the edges it bounds.
+    element with index ``j``, whose ends are its two vertices.
     """
     if n_vertices < 0:
         raise ValueError("vertex count must be nonnegative")
@@ -215,7 +203,7 @@ def from_standard(
 
 def delete(g: GeneralizedGraph, removed: Iterable[ElementId]) -> GeneralizedGraph:
     """Remove elements.  Only the present sets shrink and ``ends`` is
-    shared, so every relation pair between survivors persists and none is
+    shared, so survivors stay linked exactly as they were and no link is
     added.
     """
     gone = frozenset(removed)

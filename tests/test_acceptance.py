@@ -4,6 +4,8 @@ Each test exercises one advertised property of the package at its stated
 tolerance and runtime budget, and prints a single PASS or FAIL line so a
 full run reads as a checklist.
 """
+import contextlib
+import signal
 import time
 from fractions import Fraction
 
@@ -31,6 +33,28 @@ def _report(num: int, label: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num} ({label}): {detail}"
 
 
+@contextlib.contextmanager
+def _deadline(num: int, label: str, bound: float):
+    """Run the block under a real-time timer that stops it at ``bound``
+    seconds, so that a criterion whose work runs away fails at its bound
+    instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, bound)
+    try:
+        yield
+    except TimeoutError as stop:
+        # pytest cannot print the interrupted frame if it has no line number
+        stop.__traceback__ = None
+        _report(num, label, False, f"stopped at the {bound:g}s bound")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_criterion_01_square_oracle():
     repetitive = ["hotshots", "repetitive", "alfalfa"]
     square_free = ["total", "minimize"]
@@ -46,18 +70,19 @@ def test_criterion_01_square_oracle():
 
 def test_criterion_02_path_master_identity():
     start = time.perf_counter()
-    identity_ok = True
-    growth_ok = True
-    for n in range(1, 10):
-        small = path_graph(n)
-        big = path_graph(n + 1)
-        lists_small = ListAssignment.uniform(small, 4)
-        lists_big = ListAssignment.uniform(big, 4)
-        c_n = count_colorings(small, lists_small, Regime.VERTEX)
-        c_n1 = count_colorings(big, lists_big, Regime.VERTEX)
-        broken = count_violations(big, lists_big, Regime.VERTEX, vertex(n))
-        identity_ok = identity_ok and (c_n1 == 4 * c_n - broken)
-        growth_ok = growth_ok and (c_n1 >= 2 * c_n)
+    with _deadline(2, "path master identity", 10.0):
+        identity_ok = True
+        growth_ok = True
+        for n in range(1, 10):
+            small = path_graph(n)
+            big = path_graph(n + 1)
+            lists_small = ListAssignment.uniform(small, 4)
+            lists_big = ListAssignment.uniform(big, 4)
+            c_n = count_colorings(small, lists_small, Regime.VERTEX)
+            c_n1 = count_colorings(big, lists_big, Regime.VERTEX)
+            broken = count_violations(big, lists_big, Regime.VERTEX, vertex(n))
+            identity_ok = identity_ok and (c_n1 == 4 * c_n - broken)
+            growth_ok = growth_ok and (c_n1 >= 2 * c_n)
     elapsed = time.perf_counter() - start
     ok = identity_ok and growth_ok and elapsed < 10.0
     _report(
@@ -70,21 +95,22 @@ def test_criterion_02_path_master_identity():
 
 def test_criterion_03_list_robustness():
     start = time.perf_counter()
-    rnd = random.Random(20240917)
-    palette = list(range(8))
-    worst = float("inf")
-    for _ in range(100):
-        chosen = [frozenset(rnd.sample(palette, 4)) for _ in range(8)]
-        prev = None
-        for k in range(1, 9):
-            g = path_graph(k)
-            lists = ListAssignment.from_map(
-                {vertex(i): chosen[i] for i in range(k)}
-            )
-            c = count_colorings(g, lists, Regime.VERTEX)
-            if prev is not None:
-                worst = min(worst, c / prev)
-            prev = c
+    with _deadline(3, "list robustness", 60.0):
+        rnd = random.Random(20240917)
+        palette = list(range(8))
+        worst = float("inf")
+        for _ in range(100):
+            chosen = [frozenset(rnd.sample(palette, 4)) for _ in range(8)]
+            prev = None
+            for k in range(1, 9):
+                g = path_graph(k)
+                lists = ListAssignment.from_map(
+                    {vertex(i): chosen[i] for i in range(k)}
+                )
+                c = count_colorings(g, lists, Regime.VERTEX)
+                if prev is not None:
+                    worst = min(worst, c / prev)
+                prev = c
     elapsed = time.perf_counter() - start
     ok = worst >= 2.0 and elapsed < 60.0
     _report(
@@ -97,12 +123,13 @@ def test_criterion_03_list_robustness():
 
 def test_criterion_04_thue_number_of_paths():
     start = time.perf_counter()
-    ok = True
-    for n in range(4, 13):
-        g = path_graph(n)
-        two = count_colorings(g, ListAssignment.uniform(g, 2), Regime.VERTEX)
-        three = count_colorings(g, ListAssignment.uniform(g, 3), Regime.VERTEX)
-        ok = ok and two == 0 and three > 0
+    with _deadline(4, "thue number of paths", 10.0):
+        ok = True
+        for n in range(4, 13):
+            g = path_graph(n)
+            two = count_colorings(g, ListAssignment.uniform(g, 2), Regime.VERTEX)
+            three = count_colorings(g, ListAssignment.uniform(g, 3), Regime.VERTEX)
+            ok = ok and two == 0 and three > 0
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 10.0
     _report(
@@ -115,8 +142,9 @@ def test_criterion_04_thue_number_of_paths():
 
 def test_criterion_05_ternary_witness():
     start = time.perf_counter()
-    g = path_graph(30)
-    n = count_colorings(g, ListAssignment.uniform(g, 3), Regime.VERTEX)
+    with _deadline(5, "ternary witness", 60.0):
+        g = path_graph(30)
+        n = count_colorings(g, ListAssignment.uniform(g, 3), Regime.VERTEX)
     elapsed = time.perf_counter() - start
     ok = n > 0 and elapsed < 60.0
     _report(5, "ternary witness", ok, f"P30 with 3 colors has {n} colorings, {elapsed:.2f}s")
@@ -124,13 +152,14 @@ def test_criterion_05_ternary_witness():
 
 def test_criterion_06_path_count_dominance():
     start = time.perf_counter()
-    violations = []
-    checks = 0
-    for name, g in builtin_corpus():
-        for rec in path_dominance_records(name, g, max_half=4):
-            checks += 1
-            if not rec.holds:
-                violations.append(rec)
+    with _deadline(6, "path-count dominance", 120.0):
+        violations = []
+        checks = 0
+        for name, g in builtin_corpus():
+            for rec in path_dominance_records(name, g, max_half=4):
+                checks += 1
+                if not rec.holds:
+                    violations.append(rec)
     elapsed = time.perf_counter() - start
     ok = not violations and elapsed < 120.0
     if violations:
@@ -212,19 +241,20 @@ def test_criterion_10_growth_sweeps():
                 worst = min(worst, rep.ratio)
         return worst, all_hold
 
-    vertex_claim = claim_family("thue_choice").at(2)
-    vertex_graphs = [cycle_graph(n) for n in range(3, 7)] + [
-        path_graph(n) for n in range(3, 7)
-    ]
-    v_min, v_ok = sweep_min_ratio(vertex_claim, vertex_graphs, Regime.VERTEX)
+    with _deadline(10, "growth sweeps", 600.0):
+        vertex_claim = claim_family("thue_choice").at(2)
+        vertex_graphs = [cycle_graph(n) for n in range(3, 7)] + [
+            path_graph(n) for n in range(3, 7)
+        ]
+        v_min, v_ok = sweep_min_ratio(vertex_claim, vertex_graphs, Regime.VERTEX)
 
-    weak_claim = claim_family("weak_total").at(2)
-    weak_graphs = [path_graph(2), path_graph(3), cycle_graph(3), path_graph(4)]
-    w_min, w_ok = sweep_min_ratio(weak_claim, weak_graphs, Regime.WEAK_TOTAL)
+        weak_claim = claim_family("weak_total").at(2)
+        weak_graphs = [path_graph(2), path_graph(3), cycle_graph(3), path_graph(4)]
+        w_min, w_ok = sweep_min_ratio(weak_claim, weak_graphs, Regime.WEAK_TOTAL)
 
-    strong_claim = claim_family("total_thue").at(2)
-    strong_graphs = [path_graph(2), path_graph(3)]
-    s_min, s_ok = sweep_min_ratio(strong_claim, strong_graphs, Regime.STRONG_TOTAL)
+        strong_claim = claim_family("total_thue").at(2)
+        strong_graphs = [path_graph(2), path_graph(3)]
+        s_min, s_ok = sweep_min_ratio(strong_claim, strong_graphs, Regime.STRONG_TOTAL)
 
     elapsed = time.perf_counter() - start
     strong_rate = 4 * (1 + 2 ** (1 / 3))
@@ -245,15 +275,16 @@ def test_criterion_10_growth_sweeps():
 
 def test_criterion_11_resampler_smoke():
     start = time.perf_counter()
-    g = path_graph(100)
-    lists = ListAssignment.uniform(g, 4)
-    successes = 0
-    revalidated = True
-    for seed in range(20):
-        run = resample_color(g, lists, Regime.VERTEX, seed=seed, max_steps=100_000)
-        if run.outcome == "success":
-            successes += 1
-            revalidated = revalidated and is_valid(g, run.coloring, Regime.VERTEX)
+    with _deadline(11, "resampler smoke", 60.0):
+        g = path_graph(100)
+        lists = ListAssignment.uniform(g, 4)
+        successes = 0
+        revalidated = True
+        for seed in range(20):
+            run = resample_color(g, lists, Regime.VERTEX, seed=seed, max_steps=100_000)
+            if run.outcome == "success":
+                successes += 1
+                revalidated = revalidated and is_valid(g, run.coloring, Regime.VERTEX)
     elapsed = time.perf_counter() - start
     ok = successes >= 19 and revalidated and elapsed < 60.0
     _report(
@@ -269,11 +300,12 @@ def test_criterion_12_circular_square_free_words():
     # n >= 18", Electron. J. Combin. 9 (2002) #N10: such words exist for
     # every n except 5, 7, 9, 10, 14 and 17
     start = time.perf_counter()
-    zero = []
-    for n in range(3, 25):
-        g = cycle_graph(n)
-        if count_colorings(g, ListAssignment.uniform(g, 3), Regime.VERTEX) == 0:
-            zero.append(n)
+    with _deadline(12, "circular square-free words", 10.0):
+        zero = []
+        for n in range(3, 25):
+            g = cycle_graph(n)
+            if count_colorings(g, ListAssignment.uniform(g, 3), Regime.VERTEX) == 0:
+                zero.append(n)
     elapsed = time.perf_counter() - start
     ok = zero == [5, 7, 9, 10, 14, 17] and elapsed < 10.0
     _report(

@@ -1,4 +1,5 @@
 """Exact counting of square-free list colorings and the deletion identity."""
+import gc
 import itertools
 import math
 import random
@@ -29,6 +30,7 @@ from thuecolor.graphs import (
     edge,
     from_standard,
     path_graph,
+    petersen_graph,
     vertex,
     walk,
 )
@@ -274,6 +276,29 @@ def test_empty_graph_and_empty_lists():
     with pytest.raises(ValueError):
         # no list at all for a relevant element
         count_colorings(g1, ListAssignment.from_map({}), Regime.VERTEX)
+
+
+@pytest.mark.parametrize(
+    "g, size, regime",
+    [
+        (path_graph(6), 3, Regime.VERTEX),
+        (petersen_graph(), 5, Regime.VERTEX),
+        (path_graph(3), 12, Regime.WEAK_TOTAL),
+    ],
+    ids=["P6-vertex", "petersen-vertex", "P3-weak-total"],
+)
+def test_a_count_leaves_no_cyclic_garbage(g, size, regime):
+    # a count's tables are freed when it returns, not at the collector's
+    # next run, so the memory a run of counts holds does not depend on it
+    lists = ListAssignment.uniform(g, size)
+    count_colorings(g, lists, regime)  # builds the graph's boards
+    gc.collect()
+    gc.disable()
+    try:
+        count_colorings(g, lists, regime)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_orders_deeper_than_the_recursion_limit_are_rejected(monkeypatch):

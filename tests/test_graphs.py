@@ -40,14 +40,19 @@ def _rand_graph(rnd, n_max=7, extra=0.5):
     return from_standard(n, sorted(rnd.sample(pairs, m)))
 
 
+def _links(g, kind):
+    """The unordered pairs of elements that can follow each other in a path of ``kind``."""
+    return {frozenset((x, y)) for x in g.domain(kind) for y in g.neighbors(x, kind)}
+
+
 def test_single_edge():
     g = from_standard(2, [(0, 1)])
     assert g.vertices == {vertex(0), vertex(1)}
     assert g.edges == {edge(0)}
-    assert (vertex(0), vertex(1)) in g.vv_adj
+    assert g.neighbors(vertex(0), PathKind.VERTEX) == (vertex(1),)
     # symmetry surfaces through the neighbor lookups
     assert g.neighbors(vertex(1), PathKind.VERTEX) == (vertex(0),)
-    assert g.ee_adj == frozenset()
+    assert g.neighbors(edge(0), PathKind.EDGE) == ()
     assert g.max_degree == 1
 
 
@@ -55,12 +60,12 @@ def test_k4_relations():
     g = complete_graph(4)
     assert g.max_degree == 3
     # 6 edges, each meeting 4 others: 12 unordered adjacent pairs
-    assert len({frozenset(p) for p in g.ee_adj}) == 12
+    assert len(_links(g, PathKind.EDGE)) == 12
 
 
 def test_p3_edge_adjacency():
     g = path_graph(3)
-    assert {frozenset(p) for p in g.ee_adj} == {frozenset({edge(0), edge(1)})}
+    assert _links(g, PathKind.EDGE) == {frozenset({edge(0), edge(1)})}
 
 
 def test_from_standard_rejects_bad_edges():
@@ -83,9 +88,9 @@ def test_delete_keeps_surviving_relations():
     g = path_graph(3)
     h = delete(g, {vertex(1)})
     # the two edges stay adjacent through the deleted vertex
-    assert (edge(0), edge(1)) in h.ee_adj
+    assert edge(1) in h.neighbors(edge(0), PathKind.EDGE)
     # the endpoints do not become adjacent
-    assert (vertex(0), vertex(2)) not in h.vv_adj
+    assert vertex(2) not in h.neighbors(vertex(0), PathKind.VERTEX)
     assert vertex(1) not in h
 
 
@@ -93,12 +98,25 @@ def test_delete_edge_keeps_vertex_adjacency():
     g = from_standard(2, [(0, 1)])
     h = delete(g, {edge(0)})
     assert h.edges == frozenset()
-    assert (vertex(0), vertex(1)) in h.vv_adj
+    assert vertex(1) in h.neighbors(vertex(0), PathKind.VERTEX)
 
 
 def test_delete_empty_is_identity():
     g = complete_graph(4)
     assert delete(g, set()) == g
+
+
+def test_equality_is_presence_and_adjacency():
+    # the deleted P3 keeps e0 as an absent edge, the parsed graph never had
+    # it, yet both link the same survivors the same way
+    deleted = delete(path_graph(3), {vertex(1), edge(0)})
+    parsed = graph_from_json({
+        "vertices": [0, 2], "edges": [{"id": 1, "ends": [1, 2]}], "absent_vertices": [1],
+    })
+    assert graph_to_json(deleted) != graph_to_json(parsed)
+    assert deleted == parsed and hash(deleted) == hash(parsed)
+    # the same present elements linked differently are different graphs
+    assert from_standard(3, [(0, 1)]) != from_standard(3, [(1, 2)])
 
 
 def test_delete_unknown_element_rejected():
@@ -117,11 +135,11 @@ def test_delete_exactness_and_composition():
         h = delete(g, s1 | s2)
         assert h.elements == g.elements - s1 - s2
         assert delete(delete(g, s1), s2) == h
-        # relation pairs survive iff both endpoints do
-        for a, b in g.vv_adj | g.ee_adj | g.ve_inc:
-            kept = a in h.elements and b in h.elements
-            in_h = (a, b) in (h.vv_adj | h.ee_adj | h.ve_inc)
-            assert kept == in_h
+        # linked pairs survive iff both elements do
+        for kind in PathKind:
+            links = _links(h, kind)
+            for pair in _links(g, kind):
+                assert (pair <= h.elements) == (pair in links)
 
 
 def test_paths_through_k4_vertex():
@@ -245,10 +263,12 @@ def test_count_paths_containing_on_deleted_graphs():
         els = sorted(g.elements)
         g = delete(g, rnd.sample(els, rnd.randint(1, len(els) // 3)))
         seen["vv via deleted edge"] += any(
-            e not in g.edges for e, vs in g.ends.items() if vs in g.vv_adj
+            e not in g.edges for e, (u, w) in g.ends.items()
+            if w in g.neighbors(u, PathKind.VERTEX)
         )
         seen["ee via deleted vertex"] += any(
-            set(g.ends[a]) & set(g.ends[b]) - g.vertices for a, b in g.ee_adj
+            set(g.ends[a]) & set(g.ends[b]) - g.vertices
+            for a in g.edges for b in g.neighbors(a, PathKind.EDGE)
         )
         for kind in PathKind:
             seen["isolated"] += any(not g.neighbors(x, kind) for x in g.domain(kind))

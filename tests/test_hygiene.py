@@ -107,16 +107,12 @@ def test_the_scan_sees_an_unread_private_name():
     assert {n for n in defined if n not in _read(tree)} == {"_TABLE", "_orphan", "_stale"}
 
 
-RELATIONS = {"vv_adj", "ee_adj", "ve_inc"}
-
-
-def _relations_read(tree: ast.Module) -> dict[str, int]:
-    """Relation attribute read -> its first line."""
-    names = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in RELATIONS:
-            names.setdefault(node.attr, node.lineno)
-    return names
+def _ends_read(tree: ast.Module) -> list[int]:
+    """The lines that read an ``ends`` attribute."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "ends"
+    )
 
 
 NOT_GRAPHS = [path for path in MODULES if path.name != "graphs.py"]
@@ -124,12 +120,12 @@ NOT_GRAPHS = [path for path in MODULES if path.name != "graphs.py"]
 
 @pytest.mark.parametrize("path", NOT_GRAPHS, ids=lambda p: p.name)
 def test_only_graphs_reads_the_relations(path):
-    # the board is the one neighbour table; a module that read a relation
-    # itself would build a second one
+    # the board derives every link between elements from the edge ends; a
+    # module that read the ends itself would build a second neighbour table
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    assert not _relations_read(tree), f"{path.name}: reads {_relations_read(tree)}"
+    assert not _ends_read(tree), f"{path.name} reads ends at lines {_ends_read(tree)}"
 
 
 def test_the_scan_sees_a_relation_read():
-    tree = ast.parse("pairs = g.vv_adj | h.ee_adj\nvv_adj = 1\nprint(vv_adj)\n")
-    assert _relations_read(tree) == {"vv_adj": 1, "ee_adj": 1}
+    tree = ast.parse("x = 1\npairs = g.ends.values()\nends = h.ends\nprint(ends)\n")
+    assert _ends_read(tree) == [2, 3]
