@@ -181,21 +181,18 @@ def coloring_to_json(coloring: Mapping[ElementId, Color]) -> list[dict]:
 _CALLER_FRAMES = 100
 
 
-@dataclass
-class _Compiled:
-    palettes: list[tuple[int, ...]]
-    # squares[d]: the candidate squares whose last element is d, each as
-    # (p, pairs): p is the position of d's echo partner and pairs are the
-    # square's other index pairs, all before d; a half-1 square is (p, ())
-    squares: list[tuple[tuple[int, tuple[tuple[int, int], ...]], ...]]
-
-
 def _compile(
     g: GeneralizedGraph,
     lists: ListAssignment,
     regime: Regime,
     order: Sequence[ElementId] | None,
-) -> _Compiled:
+) -> tuple[list[tuple[int, ...]], list[tuple]]:
+    """The palettes and the squares of a count, by depth in the counting order.
+
+    ``squares[d]`` holds the candidate squares whose last element is d, each
+    as (p, pairs): p is the position of d's echo partner and pairs are the
+    square's other index pairs, all before d; a half-1 square is (p, ()).
+    """
     relevant = relevant_elements(g, regime)
     if order is None:
         elems = relevant
@@ -232,36 +229,35 @@ def _compile(
             if not found:
                 # a path of L + 2 elements holds one of L, so none is longer
                 break
-    return _Compiled(palettes=palettes, squares=[tuple(s) for s in squares])
+    return palettes, [tuple(s) for s in squares]
 
 
-def _count_symmetric(cp: _Compiled) -> int:
-    m = len(cp.palettes)
+def _count_symmetric(palettes: list[tuple[int, ...]], squares: list[tuple]) -> int:
+    m = len(palettes)
     if m < 2:
-        return len(cp.palettes[0]) if m else 1
+        return len(palettes[0]) if m else 1
     # remap colors to 0..K-1 so that "used" is a flat list
-    index = {c: i for i, c in enumerate(set().union(*cp.palettes))}
+    index = {c: i for i, c in enumerate(set().union(*palettes))}
     pen, last = m - 2, m - 1
     # classes[d]: palette d grouped by the positions d..m-1 whose palettes
     # hold each color, collected from the last position backwards; the
     # last two positions are counted in closed form and need no classes
     held: list[tuple[int, ...]] = [()] * len(index)
     for d in (last, pen):
-        for c in cp.palettes[d]:
+        for c in palettes[d]:
             held[index[c]] += (d,)
     classes: list[list[list[int]]] = [[] for _ in range(pen)]
     for d in range(pen - 1, -1, -1):
         groups: dict[tuple[int, ...], list[int]] = {}
-        for c in cp.palettes[d]:
+        for c in palettes[d]:
             i = index[c]
             held[i] += (d,)
             groups.setdefault(held[i], []).append(i)
         classes[d] = list(groups.values())
     colors = [0] * m
     used = [False] * len(index)
-    squares = cp.squares
-    pen_list = {index[c] for c in cp.palettes[pen]}
-    last_list = {index[c] for c in cp.palettes[last]}
+    pen_list = {index[c] for c in palettes[pen]}
+    last_list = {index[c] for c in palettes[last]}
     # the squares ending at the last element as (p, b, pairs): pen is p, or
     # is paired with b (it lies in at most one pair, the first, as pairs run
     # later first), or b is -1 and the square misses pen
@@ -346,7 +342,7 @@ def count_colorings(
     The empty graph has exactly one coloring.  The result does not
     depend on ``order``, which only directs the backtracking.
     """
-    return _count_symmetric(_compile(g, lists, regime, order))
+    return _count_symmetric(*_compile(g, lists, regime, order))
 
 
 def enumerate_colorings(

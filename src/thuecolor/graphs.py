@@ -20,10 +20,11 @@ lexicographically smaller element sequence.
 Each kind has one neighbour table, the graph's board
 (``GeneralizedGraph._board``): per element, by its place in sorted
 order, the sorted places of the elements that can follow it.  Every
-path search reads it: ``walk`` (the paths of a kind and length, or
-those through one element), ``count_paths_containing`` (the paths
-through every element, counted without building them), the counter's
-compiler and the square search of ``repetition``.
+path search reads it: ``_walk_board`` (the paths of a kind and length,
+or those through one element, as board indices), ``count_paths_containing``
+(the paths of an even length through every element, counted without
+building them), the counter's compiler and the square search of
+``repetition``.
 """
 from __future__ import annotations
 
@@ -234,14 +235,11 @@ class Path:
         return (len(self.elements), _KIND_RANK[self.kind], self.elements)
 
 
-def walk(
-    g: GeneralizedGraph,
-    kind: PathKind,
-    length: int,
-    *,
-    through: ElementId | None = None,
-) -> Iterator[tuple[ElementId, ...]]:
-    """Each simple path of ``kind`` with ``length`` elements, once, canonically.
+def _walk_board(
+    g: GeneralizedGraph, kind: PathKind, length: int, through: ElementId | None = None
+) -> Iterator[list[int]]:
+    """Each simple path of ``kind`` with ``length`` elements, once, canonically,
+    as board indices: one list, refilled per path, so read each before the next.
 
     A simple path has distinct ends, so it is yielded in the orientation
     with ``seq[0] <= seq[-1]``.  Without ``through`` the walk starts at
@@ -250,14 +248,6 @@ def walk(
     before x.  Neighbours are tried in index order on the graph's board,
     which is element order.
     """
-    element = g._order.__getitem__
-    return (tuple(map(element, seq)) for seq in _walk_board(g, kind, length, through))
-
-
-def _walk_board(
-    g: GeneralizedGraph, kind: PathKind, length: int, through: ElementId | None = None
-) -> Iterator[list[int]]:
-    """``walk`` on board indices: one list, refilled per path, so read each before the next."""
     if length < 1:
         raise ValueError("path length must be positive")
     domain = g.domain(kind)
@@ -305,69 +295,61 @@ def enumerate_paths_through(
     """All simple paths of the given kind with ``length`` elements through ``x``."""
     if x not in g:
         raise ValueError(f"element not in graph: {x}")
-    return {Path(kind, seq) for seq in walk(g, kind, length, through=x)}
+    element = g._order.__getitem__
+    return {Path(kind, tuple(map(element, seq))) for seq in _walk_board(g, kind, length, x)}
 
 
 def count_paths_containing(
     g: GeneralizedGraph, kind: PathKind, lengths: Iterable[int]
 ) -> dict[int, Counter]:
-    """Tally how many canonical paths of each length contain each element.
+    """Tally how many canonical paths of each even length contain each element.
 
-    The totals match ``enumerate_paths_through`` exactly, but no path is
-    built: a depth-first search over directed simple paths from every
-    start counts, per prefix, its directed completions, and credits that
-    count to the element the prefix ends with.  A path of L >= 2 elements
-    has distinct ends, so it is exactly two directed sequences, and
-    reversal sends position p to L-1-p.  Hence the paths through x number
-    half the directed sequences' credits over all positions, which equal
-    twice the credits at positions p < L//2 plus, for odd L, those at the
-    middle position L//2.  Only those positions are credited, and for
-    L >= 4 none of them lies in the last two, so those two levels are
+    Only even lengths of at least 2 are taken, the lengths of squares; any
+    other raises ``ValueError``.  The totals match ``enumerate_paths_through``
+    exactly, but no path is built: a depth-first search over directed
+    simple paths from every start counts, per prefix, its directed
+    completions, and credits that count to the element the prefix ends
+    with.  A path of an even number L of elements has distinct ends, so it
+    is exactly two directed sequences, and reversal sends position p to
+    L-1-p: exactly one of the two holds a given element at a position
+    p < L/2.  Hence the paths through x number the directed sequences that
+    hold x in their first half, and only those positions are credited.
+    For L >= 4 none of them lies in the last two, so those two levels are
     counted in closed form from each element's number of neighbours
-    outside the prefix: no prefix longer than L - 3 is visited.  Lengths
-    2 and 3 come from degrees alone.  Elements on no path get no entry.
+    outside the prefix: no prefix longer than L - 3 is visited.  Elements
+    on no path get no entry.
     """
-    domain = sorted(g.domain(kind))
+    n_domain = len(g.domain(kind))
     out: dict[int, Counter] = {}
     for length in lengths:
-        if length < 1:
-            raise ValueError("path length must be positive")
-        if length == 1:
-            out[length] = Counter(domain)
-        elif length > len(domain):
+        if length < 2 or length % 2:
+            raise ValueError(f"path length must be even and at least 2: {length}")
+        if length > n_domain:
             out[length] = Counter()
         else:
             credit = _directed_credits(g._board(kind), length)
-            out[length] = Counter({x: c // 2 for x, c in zip(g._order, credit) if c})
+            out[length] = Counter({x: c for x, c in zip(g._order, credit) if c})
     return out
 
 
 def _directed_credits(nbrs: tuple[tuple[int, ...], ...], length: int) -> list[int]:
-    """Per element index: twice the directed paths of ``length`` elements
-    that hold it at a position p < length//2, plus those that hold it at
-    the middle of an odd length.
+    """Per element index: the directed paths of ``length`` elements, an even
+    number, that hold it at a position p < length/2.
 
-    Lengths 2 and 3 come from degrees.  Beyond them the depth-first
-    search pushes prefixes of at most ``length - 3`` elements and keeps
-    ``free[z]``, the number of neighbours of z outside the prefix.  An
-    unused neighbour y of the end of a prefix that long takes position
-    ``length - 3``, and each unused neighbour z of y completes it
-    ``free[z] - 1`` ways: y is a neighbour of z outside the prefix but
-    cannot follow z.  Positions ``length - 2`` and ``length - 1`` carry
-    no weight once ``length >= 4``, so they are never visited.
+    Length 2 is the degree.  Beyond it the depth-first search pushes
+    prefixes of at most ``length - 3`` elements and keeps ``free[z]``, the
+    number of neighbours of z outside the prefix.  An unused neighbour y
+    of the end of a prefix that long takes position ``length - 3``, and
+    each unused neighbour z of y completes it ``free[z] - 1`` ways: y is a
+    neighbour of z outside the prefix but cannot follow z.  Positions
+    ``length - 2`` and ``length - 1`` carry no weight, so they are never
+    visited.
     """
-    half, odd = divmod(length, 2)
-    weight = [2] * half + [odd] + [0] * (length - half - 1)
     deg = [len(nb) for nb in nbrs]
     if length == 2:
-        return [2 * d for d in deg]
-    if length == 3:
-        # an end a starts sum(deg b - 1) directed paths a b c over its
-        # neighbours b; a middle b holds deg b * (deg b - 1)
-        return [
-            2 * (sum(deg[b] for b in nb) - d) + d * (d - 1)
-            for nb, d in zip(nbrs, deg)
-        ]
+        return deg
+    half = length // 2
+    weight = [1] * half + [0] * half
     closed = length - 3  # prefixes this long count their last two levels
     credit = [0] * len(nbrs)
     used = [False] * len(nbrs)

@@ -4,7 +4,7 @@ import functools
 import itertools
 
 from thuecolor.counting import ListAssignment
-from thuecolor.graphs import ElementId, GeneralizedGraph, Path, PathKind
+from thuecolor.graphs import ElementId, ElementKind, GeneralizedGraph, Path, PathKind
 from thuecolor.repetition import Regime, is_valid, relevant_elements
 
 
@@ -67,6 +67,66 @@ def path_is_valid(g: GeneralizedGraph, path: Path) -> bool:
         if b not in neighbors_from_ends(g, a, path.kind):
             return False
     return True
+
+
+# the element kinds that each path kind reads off the total sequence
+_PROJECTED = {
+    PathKind.VERTEX: {ElementKind.VERTEX},
+    PathKind.EDGE: {ElementKind.EDGE},
+    PathKind.MIXED: {ElementKind.VERTEX, ElementKind.EDGE},
+}
+
+
+def paths_of_g(
+    g: GeneralizedGraph, kind: PathKind, length: int
+) -> set[tuple[ElementId, ...]]:
+    """The paths of the paper: every factor of ``length`` elements, projected
+    to ``kind``, of the total sequence v1 e1 v2 ... vk of a simple vertex path
+    of the original G, with every element of the factor present; each once,
+    in the orientation that is not above its reverse.
+
+    The original G is every vertex and edge that ``ends`` names, present or
+    deleted, plus the present vertices.  Directed vertex paths of G are grown
+    from every vertex, and at each step the factors that end at the newly
+    added projected elements are read off.  A path with more vertices than a
+    factor can span adds no factor that a path from its second vertex lacks,
+    so growth stops at ``length`` vertices for the vertex kind, ``length + 1``
+    for the edge kind and ``length // 2 + 2`` for the mixed kind.
+    """
+    at: dict[ElementId, list[tuple[ElementId, ElementId]]] = {v: [] for v in g.vertices}
+    for e, (u, w) in g.ends.items():
+        at.setdefault(u, []).append((w, e))
+        at.setdefault(w, []).append((u, e))
+    kinds = _PROJECTED[kind]
+    most = {PathKind.VERTEX: length, PathKind.EDGE: length + 1, PathKind.MIXED: length // 2 + 2}[kind]
+    present = g.vertices | g.edges
+    found: set[tuple[ElementId, ...]] = set()
+
+    def read_off(projected: list[ElementId], added: int) -> None:
+        for end in range(max(length, len(projected) - added + 1), len(projected) + 1):
+            factor = tuple(projected[end - length:end])
+            if present.issuperset(factor):
+                found.add(min(factor, factor[::-1]))
+
+    def grow(tip: ElementId, on_path: set[ElementId], projected: list[ElementId]) -> None:
+        if len(on_path) == most:
+            return
+        for w, e in at[tip]:
+            if w in on_path:
+                continue
+            added = [x for x in (e, w) if x.kind in kinds]
+            projected += added
+            on_path.add(w)
+            read_off(projected, len(added))
+            grow(w, on_path, projected)
+            on_path.discard(w)
+            del projected[len(projected) - len(added):]
+
+    for v in at:
+        projected = [v] if v.kind in kinds else []
+        read_off(projected, len(projected))
+        grow(v, {v}, projected)
+    return found
 
 
 def root_cubic(tol: float = 1e-12) -> float:

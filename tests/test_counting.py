@@ -24,6 +24,7 @@ from thuecolor.counting import (
     lists_to_json,
 )
 from thuecolor.graphs import (
+    _walk_board,
     complete_graph,
     cycle_graph,
     delete,
@@ -32,7 +33,6 @@ from thuecolor.graphs import (
     path_graph,
     petersen_graph,
     vertex,
-    walk,
 )
 from thuecolor.growth import check_growth, claim_family
 from thuecolor.repetition import Regime, is_valid, relevant_elements
@@ -167,7 +167,8 @@ def _reference_violations(g, lists, regime, x):
     echo_pairs = []
     for kind in regime.path_kinds:  # a kind whose domain misses x walks nothing
         for half in range(1, len(g.domain(kind)) // 2 + 1):
-            for seq in walk(g, kind, 2 * half, through=x):
+            for seq in _walk_board(g, kind, 2 * half, x):
+                seq = tuple(map(g._order.__getitem__, seq))
                 echo_pairs.append(tuple(zip(seq[:half], seq[half:])))
     bad = 0
     for coloring in enumerate_colorings(delete(g, {x}), lists, regime):

@@ -13,6 +13,7 @@ from thuecolor.graphs import (
     PATH_BOUNDS,
     Path,
     PathKind,
+    _walk_board,
     complete_graph,
     count_paths_bound,
     count_paths_containing,
@@ -26,11 +27,10 @@ from thuecolor.graphs import (
     path_graph,
     petersen_graph,
     vertex,
-    walk,
 )
 from thuecolor.repetition import Regime, find_violating_path
 
-from reference import neighbors_from_ends, path_is_valid
+from reference import neighbors_from_ends, path_is_valid, paths_of_g
 
 
 def _rand_graph(rnd, n_max=7, extra=0.5):
@@ -192,9 +192,14 @@ WALK_GRAPHS = {
 }
 
 
+def _walk(g, kind, length, through=None):
+    """The walker's paths as element sequences."""
+    return [tuple(map(g._order.__getitem__, seq)) for seq in _walk_board(g, kind, length, through)]
+
+
 def _full_walk(g, kind, length):
     """The unanchored, unpruned walk: the reference the other modes are filtered from."""
-    seqs = list(walk(g, kind, length))
+    seqs = _walk(g, kind, length)
     assert len(seqs) == len(set(seqs))
     for s in seqs:
         assert s[0] <= s[-1] and s <= s[::-1]
@@ -209,32 +214,32 @@ def test_walk_through_matches_filtered_full_walk(name, kind):
     for length in range(1, 9):
         full = _full_walk(g, kind, length)
         for x in sorted(g.domain(kind)):
-            seqs = list(walk(g, kind, length, through=x))
+            seqs = _walk(g, kind, length, x)
             assert len(seqs) == len(set(seqs))
             assert set(seqs) == {s for s in full if x in s}
 
 
 def test_count_paths_containing_matches_enumeration():
-    """The counting tally against a tally over ``walk``.
+    """The counting tally against a tally over the walker.
 
-    Lengths 1-9 take in odd lengths, whose middle position is credited
-    once, and lengths beyond the domain, which have no paths.
+    Lengths 2-8 take in lengths beyond the domain, which have no paths;
+    an odd length or one below 2 is refused.
     """
     rnd = random.Random(5150)
     graphs = [complete_graph(4), path_graph(5)] + [_rand_graph(rnd, 6) for _ in range(6)]
     graphs += WALK_GRAPHS.values()
-    lengths = range(1, 10)
+    lengths = (2, 4, 6, 8)
     for g in graphs:
         for kind in PathKind:
             tally = count_paths_containing(g, kind, lengths)
             assert list(tally) == list(lengths)
             for length in lengths:
-                expected = Counter()
-                for seq in walk(g, kind, length):
-                    expected.update(seq)
-                assert tally[length] == expected, (kind, length)
+                assert tally[length] == _walk_tally(g, kind, length), (kind, length)
                 # Counter equality ignores zeros: an element on no path has no entry
                 assert 0 not in tally[length].values()
+    for length in (0, 1, 3):
+        with pytest.raises(ValueError, match="even"):
+            count_paths_containing(complete_graph(4), PathKind.VERTEX, [length])
     # the whole of P1100 is its one path of 1100 vertices
     g = path_graph(1100)
     tally = count_paths_containing(g, PathKind.VERTEX, [1100])[1100]
@@ -242,21 +247,18 @@ def test_count_paths_containing_matches_enumeration():
 
 
 def _walk_tally(g, kind, length):
-    expected = Counter()
-    for seq in walk(g, kind, length):
-        expected.update(seq)
-    return expected
+    return Counter(x for seq in _walk(g, kind, length) for x in seq)
 
 
 def test_count_paths_containing_on_deleted_graphs():
-    """The tally against ``walk`` on seeded deletions of random graphs.
+    """The tally against the walker on seeded deletions of random graphs.
 
     Deletion leaves vv pairs through a deleted edge, ee pairs through a
     deleted vertex and elements with no neighbour, which the free-neighbour
     counts of the tally's last two levels must handle like any other element.
     """
     rnd = random.Random(2718)
-    lengths = range(1, 10)
+    lengths = (2, 4, 6, 8)
     seen = Counter()
     for _ in range(30):
         g = _rand_graph(rnd, 6)
@@ -324,23 +326,82 @@ def test_board_matches_ends_on_deleted_graphs():
     assert seen["vv via deleted edge"] and seen["ee via deleted vertex"] and seen["isolated"]
 
 
+def _seeded_deletion(seed):
+    """A corpus graph less a seeded sample of elements, one of them a vertex
+    that lies inside a path of G."""
+    rnd = random.Random(seed)
+    _, g = rnd.choice(builtin_corpus())
+    inner = rnd.choice([v for v in sorted(g.vertices) if g.degree(v) >= 2])
+    els = sorted(g.elements - {inner})
+    return delete(g, [inner] + rnd.sample(els, rnd.randint(1, len(els) // 4)))
+
+
+ORACLE_GRAPHS = dict(builtin_corpus()) | {f"deleted{s}": _seeded_deletion(s) for s in range(12)}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_GRAPHS))
+def test_walker_against_paths_of_g(name):
+    """The oracle equals the walker for vertex paths and lies inside it for
+    edge and mixed paths, whose walks may also repeat a vertex of G; the
+    vertex tally is a tally over the oracle."""
+    g = ORACLE_GRAPHS[name]
+    for length in range(1, 7):
+        walked = {kind: set(_walk(g, kind, length)) for kind in PathKind}
+        assert paths_of_g(g, PathKind.VERTEX, length) == walked[PathKind.VERTEX], length
+        assert paths_of_g(g, PathKind.EDGE, length) <= walked[PathKind.EDGE], length
+        assert paths_of_g(g, PathKind.MIXED, length) <= walked[PathKind.MIXED], length
+    tally = count_paths_containing(g, PathKind.VERTEX, (2, 4, 6))
+    for length in (2, 4, 6):
+        oracle = Counter(x for seq in paths_of_g(g, PathKind.VERTEX, length) for x in seq)
+        assert tally[length] == oracle, length
+
+
+def test_seeded_deletions_cut_paths_of_g():
+    # some oracle paths pass a deleted vertex or edge: two edges whose
+    # shared end is gone, two vertices whose edge is gone
+    seen = Counter()
+    for s in range(12):
+        g = ORACLE_GRAPHS[f"deleted{s}"]
+        seen["edges via a deleted vertex"] += any(
+            set(g.ends[a]) & set(g.ends[b]) - g.vertices
+            for a, b in paths_of_g(g, PathKind.EDGE, 2)
+        )
+        linked_by = {vs: e for e, vs in g.ends.items()}
+        seen["vertices via a deleted edge"] += any(
+            linked_by[pair] not in g.edges for pair in paths_of_g(g, PathKind.VERTEX, 2)
+        )
+    assert seen["edges via a deleted vertex"] and seen["vertices via a deleted edge"], seen
+
+
+@pytest.mark.parametrize(
+    "g, kind, length, walked",
+    [
+        # the star K1,3: any two of its edges meet, but no path of G holds three
+        (from_standard(4, [(0, 1), (0, 2), (0, 3)]), PathKind.EDGE, 3, 3),
+        # C3: v0 e0 v1 e1 v2 e2 closes the cycle through v0
+        (cycle_graph(3), PathKind.MIXED, 6, 6),
+    ],
+    ids=["K13-edge-3", "C3-mixed-6"],
+)
+def test_walker_takes_walks_that_are_not_paths_of_g(g, kind, length, walked):
+    assert len(_walk(g, kind, length)) == walked
+    assert paths_of_g(g, kind, length) == set()
+
+
 @pytest.mark.parametrize(
     "g, length, expected",
     [
-        # length 3 from degrees alone
-        (path_graph(5), 3, [1, 2, 3, 2, 1]),
+        # length 2 is the degree
+        (path_graph(5), 2, [1, 2, 2, 2, 1]),
         # the paw: triangle 0 1 2 with 3 hung on 0
-        (from_standard(4, [(0, 1), (1, 2), (0, 2), (0, 3)]), 3, [5, 4, 4, 2]),
+        (from_standard(4, [(0, 1), (1, 2), (0, 2), (0, 3)]), 2, [3, 2, 2, 1]),
         # length 4 pushes only the start; its neighbour is credited in closed form
         (path_graph(5), 4, [1, 2, 2, 2, 1]),
         (from_standard(4, [(0, 1), (1, 2), (0, 2), (0, 3)]), 4, [2, 2, 2, 2]),
         (complete_graph(4), 4, [12, 12, 12, 12]),
-        # length 5: the middle is the closed level's credited position
-        (path_graph(5), 5, [1, 1, 1, 1, 1]),
-        (complete_graph(5), 5, [60] * 5),
-        # three legs of two at vertex 2: it is the middle of all three paths
-        (from_standard(7, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6)]), 5,
-         [2, 2, 3, 2, 2, 2, 2]),
+        # length 6: the closed level lies in the second half and is not credited
+        (path_graph(7), 6, [1, 2, 2, 2, 2, 2, 1]),
+        (complete_graph(6), 6, [360] * 6),
     ],
 )
 def test_count_paths_containing_closed_levels(g, length, expected):

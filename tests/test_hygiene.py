@@ -1,6 +1,8 @@
 """Source hygiene: every name a package module imports is used in that
-module, every private name the package defines is read in it, and only
-``graphs`` reads the relations that the neighbour board is built from."""
+module, every private name the package defines is read in it, only
+``graphs`` reads the relations that the neighbour board is built from, and
+the paths-of-G oracle in ``tests/reference.py`` reads neither the board
+nor the walker it checks."""
 import ast
 from pathlib import Path
 
@@ -129,3 +131,40 @@ def test_only_graphs_reads_the_relations(path):
 def test_the_scan_sees_a_relation_read():
     tree = ast.parse("x = 1\npairs = g.ends.values()\nends = h.ends\nprint(ends)\n")
     assert _ends_read(tree) == [2, 3]
+
+
+# what the board and the walker are read through
+BOARD_NAMES = {"_board", "_walk_board", "_order", "_index", "_linked", "neighbors"}
+
+
+def _function_reads(tree: ast.Module, name: str) -> set[str]:
+    """Names and attributes read by the module-level function ``name`` and,
+    transitively, by the module's functions that it names."""
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    read: set[str] = set()
+    todo, done = [name], set()
+    while todo:
+        f = todo.pop()
+        if f not in done:
+            done.add(f)
+            names = _read(defs[f])
+            read |= names
+            todo += [n for n in names if n in defs]
+    return read
+
+
+def test_the_oracle_reads_no_board():
+    # an oracle that shared the board or the walker would agree with a wrong one
+    path = Path(__file__).with_name("reference.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    shared = _function_reads(tree, "paths_of_g") & BOARD_NAMES
+    assert not shared, f"paths_of_g reads {sorted(shared)}"
+
+
+def test_the_scan_sees_a_board_read():
+    tree = ast.parse(
+        "def helper(g, kind):\n    return g._board(kind)\n"
+        "def paths_of_g(g, kind, length):\n    vs = g.vertices\n    return helper(g, kind)\n"
+        "def unrelated(g, x, kind):\n    return g.neighbors(x, kind)\n"
+    )
+    assert _function_reads(tree, "paths_of_g") & BOARD_NAMES == {"_board"}
