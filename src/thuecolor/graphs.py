@@ -127,6 +127,11 @@ class GeneralizedGraph:
         """Per path kind, how many elements have a neighbour; ``_board`` fills it."""
         return {}
 
+    @cached_property
+    def _searches(self) -> dict:
+        """Per regime, what ``repetition.find_squares_through`` keeps of this graph."""
+        return {}
+
     def _board(self, kind: PathKind) -> tuple[tuple[int, ...], ...]:
         """Per board index, the sorted indices of the elements that can follow it in
         a path of ``kind``: the graph's one neighbour table, read by every path search."""

@@ -9,12 +9,13 @@ edge palettes are shared, and mixed-path squares of odd half-length
 ``find_violating_path`` does not enumerate paths: it grows them one
 element per level, grouped by the color word they spell, so a single
 pass covers every half-length (``square_levels``); ``find_squares_through``
-runs the same levels on the ball around a few elements.  Both run on the
-graph's one indexed board: elements as their sorted indices, and colors
-as a list by index, so index order is element order.
+grows the squares of one half from the few elements they must pass through.
+Both run on the graph's one indexed board: elements as their sorted indices,
+and colors as a list by index, so index order is element order.
 """
 from __future__ import annotations
 
+import functools
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -184,27 +185,69 @@ def find_squares_through(
     g: GeneralizedGraph, colors: Sequence[Color], regime: Regime, half: int, near: set[int]
 ) -> tuple[list[tuple], bool]:
     """Keys of every square of half-length ``half`` with an element in ``near``,
-    and whether the search covered the whole domain of one of the path kinds.
-
-    Such a square lies within 2 * half - 1 steps of ``near``, so the levels of
-    ``square_levels`` run on that ball, with the board cut to it.  ``colors``
-    is on the board and must color every element of the regime.
+    and whether the ball within 2 * half - 1 steps of ``near`` held the whole
+    domain of one of the path kinds.  The squares are grown from ``near``
+    (``_anchored``); the ball is built only when ``near`` times the largest ball
+    that the longest board row allows reaches the number of linked elements.
+    ``colors`` is on the board and must color every element of the regime.
     """
+    plan = g._searches.get(regime)
+    if plan is None:  # per kind: rank, board, linked elements, longest row, grown paths
+        plan = g._searches[regime] = [
+            (rank, nbrs, g._linked[kind], max(map(len, nbrs), default=0), {})
+            for rank, kind in enumerate(regime.path_kinds) for nbrs in (g._board(kind),)]
     out, whole = [], False
-    for rank, kind in enumerate(regime.path_kinds):
-        nbrs = g._board(kind)
-        ball = frontier = {x for x in near if nbrs[x]}  # isolated elements lie on no square
-        for _ in range(2 * half - 1):
-            frontier = {y for x in frontier for y in nbrs[x]} - ball
-            ball |= frontier
-        whole = whole or len(ball) == g._linked[kind]
-        # paths of one element never grow, so half 1 needs no cut
-        cut = nbrs if half == 1 else {x: tuple(y for y in nbrs[x] if y in ball) for x in ball}
-        groups = _groups(ball, colors)
-        for _ in range(half - 1):
-            groups = _next_groups(cut, colors, groups)
-        out.extend((2 * half, rank, s) for s in _squares(cut, groups) if not near.isdisjoint(s))
+    for rank, nbrs, linked, widest, paths in plan:
+        out += _anchored(nbrs, colors, half, near, (2 * half, rank), paths)
+        if not whole and len(near) * _reach(widest, 2 * half - 1) >= linked:
+            ball = frontier = {x for x in near if nbrs[x]}  # isolated elements lie on no square
+            for _ in range(2 * half - 1):
+                frontier = {y for x in frontier for y in nbrs[x]} - ball
+                ball |= frontier
+            whole = len(ball) == linked
     return out, whole
+
+
+@functools.cache
+def _reach(widest: int, radius: int) -> int:
+    """The most elements within ``radius`` steps of one, on rows of at most ``widest``."""
+    return 1 + sum(widest * (widest - 1) ** k for k in range(radius))
+
+
+def _anchored(nbrs, colors, half, near, key, paths) -> set[tuple]:
+    """``key + (indices,)`` for every square of ``half`` through ``near``, once.
+
+    Put x in the first half: its echo h places on has its color, and so does
+    the echo inside that segment of each of the h - 1 further elements.
+    ``paths[half][x]`` keeps x's directed paths of h elements once grown.
+    """
+    found = set()
+    back = half - 1
+    starts = paths.get(half) or paths.setdefault(half, [None] * len(nbrs))
+    for x in near:
+        if starts[x] is None:
+            starts[x] = [(x,)]
+            for _ in range(back):
+                starts[x] = [p + (y,) for p in starts[x] for y in nbrs[p[-1]] if y not in p]
+        for p in starts[x]:
+            for e in nbrs[p[-1]]:
+                if colors[e] != colors[x] or e in p:
+                    continue
+                level = [(p + (e,), True)]  # add after the segment, then before it
+                for _ in range(back):
+                    grown = []
+                    for q, appending in level:
+                        if appending:
+                            for y in nbrs[q[-1]]:
+                                if colors[y] == colors[q[-half]] and y not in q:
+                                    grown.append((q + (y,), True))
+                        for y in nbrs[q[0]]:
+                            if colors[y] == colors[q[back]] and y not in q:
+                                grown.append(((y,) + q, False))
+                    level = grown
+                for q, _ in level:
+                    found.add(key + (q if q[0] < q[-1] else q[::-1],))
+    return found
 
 
 def require_total(g: GeneralizedGraph, coloring: Coloring, regime: Regime) -> None:

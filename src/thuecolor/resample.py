@@ -12,14 +12,15 @@ loop works on the graph's indexed board and keeps the current squares of
 every half up to the longest seen, at least KEPT_HALF, seeded by one
 ``square_levels`` pass up to the first half with a square.  Lazily, shortest
 half first, it swaps those through elements redrawn since the last refresh
-for what ``find_squares_through`` finds on their ball, and it scans the whole
-graph only when every set is empty.  A scan that finds a longer half keeps
-it, from one more pass, and the halves below it, empty.  A half above
-KEPT_HALF whose ball is the whole graph is as dear as a scan, so from then on
-neither it nor a longer half is kept.  This is exact:
+for the squares through them (``find_squares_through``), and it scans the
+whole graph only when every set is empty.  A scan that finds a longer half
+keeps it, from one more pass, and the halves below it, empty.  A half above
+KEPT_HALF whose redrawn elements have the whole graph within 2h - 1 steps
+stops being kept, with every longer half: its redrawn elements then lie all
+over the graph, and growing the paths of h elements from each of them can cost
+more than the full scans that find those halves instead.  This is exact:
 
 * a square that avoids the redrawn elements keeps its colors;
-* a square of half h through a redrawn element lies within 2h - 1 steps of it;
 * a scan returns the least square, and keys order by length first.
 """
 from __future__ import annotations

@@ -4,11 +4,14 @@ import random
 
 import pytest
 
+from reference import neighbors_from_ends
 from thuecolor.graphs import (
     ElementKind,
     Path,
     PathKind,
+    complete_graph,
     cycle_graph,
+    delete,
     edge,
     from_standard,
     path_graph,
@@ -17,9 +20,11 @@ from thuecolor.graphs import (
 from thuecolor.repetition import (
     Regime,
     find_square,
+    find_squares_through,
     find_violating_path,
     is_valid,
     relevant_elements,
+    square_levels,
 )
 
 
@@ -222,3 +227,75 @@ def test_vertex_regime_on_cycles_matches_rotated_words():
                 if find_square(arc) is not None:
                     arcs_clean = False
         assert is_valid(g, coloring, Regime.VERTEX) == arcs_clean
+
+
+def _ball_is_whole(g, regime, half, near):
+    """Whether, for some path kind, every element with a neighbour lies within
+    2 * half - 1 steps of a linked element of ``near``, by a breadth-first
+    search over the neighbours read from the edge ends."""
+    order = g._order
+    for kind in regime.path_kinds:
+        nbrs = {x: neighbors_from_ends(g, x, kind) for x in order}
+        linked = {x for x in order if nbrs[x]}
+        ball = frontier = {order[i] for i in near} & linked
+        for _ in range(2 * half - 1):
+            frontier = {y for x in frontier for y in nbrs[x]} - ball
+            ball = ball | frontier
+        if ball == linked:
+            return True
+    return False
+
+
+def _check_squares_through(g, regime, colors, halves, nears):
+    """find_squares_through against level h of one full square_levels pass,
+    restricted to the squares that meet ``near``; sorted lists, so a key
+    returned twice fails.  Returns how many near sets held an isolated element."""
+    levels = list(itertools.islice(square_levels(g, colors, regime), max(halves)))
+    levels += [[]] * (max(halves) - len(levels))
+    isolated = 0
+    for half in halves:
+        for near in nears:
+            keys, whole = find_squares_through(g, colors, regime, half, near)
+            expected = [key for key in levels[half - 1] if not near.isdisjoint(key[2])]
+            assert sorted(keys) == sorted(expected), (regime, half, near)
+            assert whole == _ball_is_whole(g, regime, half, near), (regime, half, near)
+            isolated += any(not any(neighbors_from_ends(g, g._order[i], kind)
+                                    for kind in regime.path_kinds) for i in near)
+    return isolated
+
+
+def test_squares_through_match_the_full_pass():
+    # seeded gnp graphs on 4 to 10 vertices, half of them with deletions, in
+    # every regime; near sets of 1 to 4 colored elements, some isolated
+    rnd = random.Random(4242)
+    isolated = cases = 0
+    for trial in range(96):
+        n = rnd.randint(4, 10)
+        p = rnd.choice((0.2, 0.35))
+        g = from_standard(n, [(u, w) for u in range(n) for w in range(u + 1, n) if rnd.random() < p])
+        if trial % 2:
+            g = delete(g, [x for x in sorted(g.elements) if rnd.random() < 0.15])
+        regime = list(Regime)[trial % 4]
+        board = [g._index[x] for x in relevant_elements(g, regime)]
+        if not board:
+            continue
+        colors = [None] * len(g._order)
+        for i in board:
+            colors[i] = rnd.randint(1, 3)
+        nears = [set(rnd.sample(board, min(len(board), rnd.randint(1, 4)))) for _ in range(3)]
+        isolated += _check_squares_through(g, regime, colors, (1, 2, 3, 4), nears)
+        cases += 4 * len(nears)
+    assert cases > 1000 and isolated > 100, (cases, isolated)
+
+
+def test_squares_through_on_the_k5_line_graph():
+    # the edge regime on K5 is the dense board: every edge has six neighbours
+    rnd = random.Random(55)
+    g = complete_graph(5)
+    board = [g._index[x] for x in sorted(g.edges)]
+    for _ in range(4):
+        colors = [None] * len(g._order)
+        for i in board:
+            colors[i] = rnd.randint(1, 3)
+        nears = [set(rnd.sample(board, rnd.randint(1, 3))) for _ in range(2)]
+        _check_squares_through(g, Regime.EDGE, colors, (1, 2, 3, 4, 5), nears)
