@@ -15,7 +15,6 @@ and colors as a list by index, so index order is element order.
 """
 from __future__ import annotations
 
-import functools
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -183,35 +182,19 @@ def _squares(nbrs, groups):
 
 def find_squares_through(
     g: GeneralizedGraph, colors: Sequence[Color], regime: Regime, half: int, near: set[int]
-) -> tuple[list[tuple], bool]:
+) -> list[tuple]:
     """Keys of every square of half-length ``half`` with an element in ``near``,
-    and whether the ball within 2 * half - 1 steps of ``near`` held the whole
-    domain of one of the path kinds.  The squares are grown from ``near``
-    (``_anchored``); the ball is built only when ``near`` times the largest ball
-    that the longest board row allows reaches the number of linked elements.
-    ``colors`` is on the board and must color every element of the regime.
+    grown from ``near`` alone (``_anchored``).  ``colors`` is on the board and
+    must color every element of the regime.
     """
     plan = g._searches.get(regime)
-    if plan is None:  # per kind: rank, board, linked elements, longest row, grown paths
+    if plan is None:  # per kind: rank, board, grown paths
         plan = g._searches[regime] = [
-            (rank, nbrs, g._linked[kind], max(map(len, nbrs), default=0), {})
-            for rank, kind in enumerate(regime.path_kinds) for nbrs in (g._board(kind),)]
-    out, whole = [], False
-    for rank, nbrs, linked, widest, paths in plan:
+            (rank, g._board(kind), {}) for rank, kind in enumerate(regime.path_kinds)]
+    out = []
+    for rank, nbrs, paths in plan:
         out += _anchored(nbrs, colors, half, near, (2 * half, rank), paths)
-        if not whole and len(near) * _reach(widest, 2 * half - 1) >= linked:
-            ball = frontier = {x for x in near if nbrs[x]}  # isolated elements lie on no square
-            for _ in range(2 * half - 1):
-                frontier = {y for x in frontier for y in nbrs[x]} - ball
-                ball |= frontier
-            whole = len(ball) == linked
-    return out, whole
-
-
-@functools.cache
-def _reach(widest: int, radius: int) -> int:
-    """The most elements within ``radius`` steps of one, on rows of at most ``widest``."""
-    return 1 + sum(widest * (widest - 1) ** k for k in range(radius))
+    return out
 
 
 def _anchored(nbrs, colors, half, near, key, paths) -> set[tuple]:

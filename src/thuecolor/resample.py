@@ -14,11 +14,11 @@ every half up to the longest seen, at least KEPT_HALF, seeded by one
 half first, it swaps those through elements redrawn since the last refresh
 for the squares through them (``find_squares_through``), and it scans the
 whole graph only when every set is empty.  A scan that finds a longer half
-keeps it, from one more pass, and the halves below it, empty.  A half above
-KEPT_HALF whose redrawn elements have the whole graph within 2h - 1 steps
-stops being kept, with every longer half: its redrawn elements then lie all
-over the graph, and growing the paths of h elements from each of them can cost
-more than the full scans that find those halves instead.  This is exact:
+keeps it, from one more pass, and the halves below it, empty, unless it lies
+above the graph's bound (``_kept_bound``), set once per run: past it, one
+element's ball of radius h can hold every linked element, and growing the
+paths of h elements from each redrawn element can cost more than the full
+scans that find those halves instead.  This is exact:
 
 * a square that avoids the redrawn elements keeps its colors;
 * a scan returns the least square, and keys order by length first.
@@ -78,7 +78,7 @@ def resample_color(
     halves: list[int] = []
     live: list[set[tuple]] = [set() for _ in range(KEPT_HALF)]  # square keys, half h + 1
     stale = [set(board) for _ in range(KEPT_HALF)]  # redrawn since live[h] was refreshed
-    cap = len(elems)  # halves from cap up are never kept; at first no square is that long
+    cap = max(KEPT_HALF, _kept_bound(g, regime)) + 1  # halves from cap up are never kept
     levels = square_levels(g, colors, regime)
     for h in range(KEPT_HALF):  # seed up to the first half with a square
         live[h] = set(next(levels, []))
@@ -89,11 +89,7 @@ def resample_color(
         violation = None
         for h in range(len(live)):
             if stale[h]:
-                found, whole = find_squares_through(g, colors, regime, h + 1, stale[h])
-                if whole and h >= KEPT_HALF:  # a full scan: stop keeping halves from h + 1
-                    del live[h:], stale[h:]
-                    cap = h + 1
-                    break
+                found = find_squares_through(g, colors, regime, h + 1, stale[h])
                 live[h] = {key for key in live[h] if stale[h].isdisjoint(key[2])}.union(found)
                 stale[h].clear()
             if live[h]:
@@ -120,6 +116,23 @@ def resample_color(
         for redrawn in stale:
             redrawn.update(violation[half:])
         steps += 1
+
+
+def _kept_bound(g: GeneralizedGraph, regime: Regime) -> int:
+    """The longest half above KEPT_HALF that the resampler keeps: the largest h
+    such that, on every path kind, at least 2h elements have a neighbour and
+    more of them than the most elements (``reach``) within h steps of one, on
+    rows no longer than the kind's longest.  Past it, one redrawn element's
+    ball can hold the whole graph."""
+    bound = len(g._order)
+    for kind in regime.path_kinds:
+        widest = max(map(len, g._board(kind)), default=0)
+        linked = g._linked[kind]
+        h, reach, ring = 0, 1, widest  # ring: the most elements h + 1 steps away
+        while 2 * h + 2 <= linked and reach + ring < linked:
+            h, reach, ring = h + 1, reach + ring, ring * (widest - 1)
+        bound = min(bound, h)
+    return bound
 
 
 # ---------------------------------------------------------------------------

@@ -39,17 +39,14 @@ def interleaved_sequence(coloring, n):
 
 
 def _brute_square(seq):
-    """Every square via slice comparison, then the (half, start) minimum."""
-    hits = [
-        (h, s)
-        for h in range(1, len(seq) // 2 + 1)
-        for s in range(len(seq) - 2 * h + 1)
-        if tuple(seq[s:s + h]) == tuple(seq[s + h:s + 2 * h])
-    ]
-    if not hits:
-        return None
-    h, s = min(hits)
-    return (s, h)
+    """The first square by slice comparison in (half, start) order."""
+    return next(
+        ((s, h)
+         for h in range(1, len(seq) // 2 + 1)
+         for s in range(len(seq) - 2 * h + 1)
+         if tuple(seq[s:s + h]) == tuple(seq[s + h:s + 2 * h])),
+        None,
+    )
 
 
 def test_find_square_words():
@@ -229,23 +226,6 @@ def test_vertex_regime_on_cycles_matches_rotated_words():
         assert is_valid(g, coloring, Regime.VERTEX) == arcs_clean
 
 
-def _ball_is_whole(g, regime, half, near):
-    """Whether, for some path kind, every element with a neighbour lies within
-    2 * half - 1 steps of a linked element of ``near``, by a breadth-first
-    search over the neighbours read from the edge ends."""
-    order = g._order
-    for kind in regime.path_kinds:
-        nbrs = {x: neighbors_from_ends(g, x, kind) for x in order}
-        linked = {x for x in order if nbrs[x]}
-        ball = frontier = {order[i] for i in near} & linked
-        for _ in range(2 * half - 1):
-            frontier = {y for x in frontier for y in nbrs[x]} - ball
-            ball = ball | frontier
-        if ball == linked:
-            return True
-    return False
-
-
 def _check_squares_through(g, regime, colors, halves, nears):
     """find_squares_through against level h of one full square_levels pass,
     restricted to the squares that meet ``near``; sorted lists, so a key
@@ -255,10 +235,9 @@ def _check_squares_through(g, regime, colors, halves, nears):
     isolated = 0
     for half in halves:
         for near in nears:
-            keys, whole = find_squares_through(g, colors, regime, half, near)
+            keys = find_squares_through(g, colors, regime, half, near)
             expected = [key for key in levels[half - 1] if not near.isdisjoint(key[2])]
             assert sorted(keys) == sorted(expected), (regime, half, near)
-            assert whole == _ball_is_whole(g, regime, half, near), (regime, half, near)
             isolated += any(not any(neighbors_from_ends(g, g._order[i], kind)
                                     for kind in regime.path_kinds) for i in near)
     return isolated

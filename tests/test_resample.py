@@ -1,6 +1,7 @@
 """Randomized colorer: determinism, resampling semantics, success profiles."""
 import hashlib
 import json
+import signal
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import pytest
 import thuecolor.resample
 from thuecolor.bounds import ceil_snapped, eval_bound
 from thuecolor.counting import ListAssignment
-from thuecolor.graphs import complete_graph, cycle_graph, delete, path_graph, vertex
+from thuecolor.graphs import (complete_graph, cycle_graph, delete, from_standard, path_graph,
+                              vertex)
 from thuecolor.growth import claim_family
 from thuecolor.repetition import Regime, find_violating_path, is_valid, relevant_elements
 from thuecolor.resample import (
@@ -16,6 +18,7 @@ from thuecolor.resample import (
     RNG_ALGORITHM,
     RandomGraphSpec,
     ResampleRun,
+    _kept_bound,
     resample_color,
     success_profile,
 )
@@ -208,11 +211,11 @@ def test_halves_bound_the_full_scans(monkeypatch):
 
 def _spy_calls(monkeypatch):
     """Record, in order, the searches that resample_color makes.  A seeding
-    pass is recorded with the number of levels it was asked for, a ball
-    search with its half and whether its ball was the whole graph."""
+    pass is recorded with the number of levels it was asked for, a search
+    through the redrawn elements with its half."""
     calls = []
     levels = thuecolor.resample.square_levels
-    balls = thuecolor.resample.find_squares_through
+    through = thuecolor.resample.find_squares_through
     full_scan = thuecolor.resample.find_violating_path
 
     def seeding(*args):
@@ -222,13 +225,12 @@ def _spy_calls(monkeypatch):
             record[1] += 1
             yield level
 
-    def ball(g, colors, regime, half, near):
-        found, whole = balls(g, colors, regime, half, near)
-        calls.append(("find_squares_through", half, whole))
-        return found, whole
+    def search(g, colors, regime, half, near):
+        calls.append(("find_squares_through", half))
+        return through(g, colors, regime, half, near)
 
     monkeypatch.setattr(thuecolor.resample, "square_levels", seeding)
-    monkeypatch.setattr(thuecolor.resample, "find_squares_through", ball)
+    monkeypatch.setattr(thuecolor.resample, "find_squares_through", search)
     monkeypatch.setattr(thuecolor.resample, "find_violating_path",
                         lambda *args: calls.append("find_violating_path") or full_scan(*args))
     return calls
@@ -249,18 +251,17 @@ def test_start_without_short_squares(monkeypatch, word, outcome, steps, halves):
     run = resample_color(g, lists, Regime.VERTEX, seed=0, max_steps=steps)
     assert (run.outcome, run.steps_used, run.halves) == (outcome, steps, halves)
     # the three kept halves come from levels 1 to 3 of one pass, and one
-    # full scan follows it; no ball search runs before the first step
+    # full scan follows it; no search through redrawn elements runs before
+    # the first step
     assert calls[:2] == [["square_levels", 3], "find_violating_path"]
     if steps == 0:
         assert calls[2:] == []
         return
-    # the scan's half-4 square makes half 4 kept, seeded by a pass of four
-    # levels; after the step the kept halves are refreshed on their balls
-    # around v4..v7, which are all of P8 from half 3 on, so half 4 stops
-    # being kept and a full scan finds the square again
-    assert calls[2:] == [["square_levels", 4]] + [
-        ("find_squares_through", h, h >= 3) for h in (1, 2, 3, 4)
-    ] + ["find_violating_path"]
+    # P8's bound is 3, so the scan's half-4 square is not kept: after the
+    # step the three kept halves are refreshed through v4..v7, and a full
+    # scan finds the square again
+    assert calls[2:] == [("find_squares_through", h) for h in (1, 2, 3)] + [
+        "find_violating_path"]
 
 
 def test_start_with_a_short_square_seeds_up_to_it(monkeypatch):
@@ -269,13 +270,13 @@ def test_start_with_a_short_square_seeds_up_to_it(monkeypatch):
     run = resample_color(g, lists, Regime.VERTEX, seed=0, max_steps=0)
     assert (run.outcome, run.halves) == ("exhausted", ())
     assert calls == [["square_levels", 2]]  # 1 2 1 2 has half 2; no scan
-    # the square survives the forced redraw of its second half: the ball
-    # searches of halves 1 and 2 find it again, and half 3 stays stale
+    # the square survives the forced redraw of its second half: the searches
+    # of halves 1 and 2 through it find it again, and half 3 stays stale
     calls.clear()
     run = resample_color(g, lists, Regime.VERTEX, seed=0, max_steps=1)
     assert (run.outcome, run.halves) == ("exhausted", (0, 1))
-    assert calls == [["square_levels", 2], ("find_squares_through", 1, False),
-                     ("find_squares_through", 2, False)]
+    assert calls == [["square_levels", 2], ("find_squares_through", 1),
+                     ("find_squares_through", 2)]
 
 
 def test_hit_scans_bound_by_the_long_halves(monkeypatch):
@@ -302,22 +303,60 @@ def test_hit_scans_bound_by_the_long_halves(monkeypatch):
         assert set(hits) <= long_halves
 
 
-def test_whole_graph_balls_stop_the_growth(monkeypatch):
-    # on this cubic graph the first ball of half 5 to cover the graph comes
-    # before any of half 4 does; from then on neither half 5 nor a longer
-    # one is searched on a ball, and the run is the full-scan loop's
+def test_kept_halves_stay_within_the_bound(monkeypatch):
+    # the bound of this cubic graph on 400 vertices is 7: the halves above 3
+    # that its run redraws, up to 6, are kept and searched through the
+    # redrawn elements, and no search asks for a half above 7
     g = _cubic(400, 400)
     lists = ListAssignment.uniform(g, 9)
     calls = _spy_calls(monkeypatch)
     run = resample_color(g, lists, Regime.VERTEX, 2, 100_000)
-    balls = [c for c in calls if c[0] == "find_squares_through"]
-    whole = [i for i, (_, h, w) in enumerate(balls) if w and h > KEPT_HALF]
-    assert whole and balls[whole[0]][1] == 5
-    for i in whole:
-        cap = balls[i][1]
-        assert all(h < cap for _, h, _ in balls[i + 1:])
+    asked = {c[1] for c in calls if c[0] == "find_squares_through"}
+    assert _kept_bound(g, Regime.VERTEX) == 7
+    assert max(asked) == len(run.halves) == 6
     monkeypatch.undo()
     assert run == _reference_resample(g, lists, Regime.VERTEX, 2, 100_000)
+
+
+def _within(seconds, fn, *args):
+    """``fn(*args)``, failing instead of hanging if it runs past ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"{fn.__name__} ran past {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+KEPT_BOUNDS = {
+    "P8": (lambda: path_graph(8), Regime.VERTEX, 3),
+    "P100": (lambda: path_graph(100), Regime.VERTEX, 49),
+    "C60-weak": (lambda: cycle_graph(60), Regime.WEAK_TOTAL, 59),
+    "C12-strong": (lambda: cycle_graph(12), Regime.STRONG_TOTAL, 5),
+    "K5-edge": (lambda: complete_graph(5), Regime.EDGE, 1),
+    "cubic26-a": (lambda: _cubic(26, 26), Regime.VERTEX, 3),
+    "cubic26-b": (lambda: _cubic(26, 7), Regime.VERTEX, 3),
+    **{f"cubic{n}": (lambda n=n: _cubic(n, 0), Regime.VERTEX, h)
+       for n, h in ((200, 6), (400, 7), (1000, 8), (2000, 9), (5000, 10))},
+    # rows of one neighbour never reach the whole graph: half the matching
+    "matching50": (lambda: from_standard(100, [(2 * i, 2 * i + 1) for i in range(50)]),
+                   Regime.VERTEX, 50),
+    # no room for a square in any regime
+    **{f"{name}-{regime.value}": (graph, regime, 0)
+       for name, graph in (("empty", lambda: from_standard(0, [])),
+                           ("isolated5", lambda: from_standard(5, [])),
+                           ("P2", lambda: path_graph(2)))
+       for regime in Regime},
+}
+
+
+@pytest.mark.parametrize("name", KEPT_BOUNDS)
+def test_kept_bound(name):
+    graph, regime, bound = KEPT_BOUNDS[name]
+    assert _within(10, _kept_bound, graph(), regime) == bound
 
 
 def test_zero_step_budget():
