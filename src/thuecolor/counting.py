@@ -4,20 +4,22 @@ Counts are exact Python integers produced by backtracking over the
 regime's elements in a fixed order.  Validity is hereditary under
 deletion, so every invalid branch is cut at the element that completes
 its first square: the square's last element in the order.  Candidate
-square paths are precomputed per instance and indexed by that element
-d, each as the position of d's echo partner and the square's other index
-pairs.  A square whose other pairs already agree forbids exactly one
-color of d, its partner's; this is the paper's one forbidden color per
-path.  At each node the counter collects these banned colors once and
-skips them, so a color costs one set lookup however many squares end at
-d.  The last two elements are counted in closed form at the node of the
-second-to-last one, pen, without trying a color of either.  A square
-ending at the last element either misses pen and, if its pairs agree,
-bans a fixed color; or has pen as the partner and bans pen's color c; or
-pairs pen with an earlier b and bans its partner's color e exactly when
-c is b's color.  So the node counts pen's allowed colors times the last
-list less the fixed bans, less each allowed c that the second kind bans
-there, less each distinct (c, e) of the third kind that bans one more.
+square paths are found once per graph, regime and order, kept with the
+graph, and indexed by that element d, each as the position of d's echo
+partner and the square's other index pairs.  A square whose other pairs
+already agree forbids exactly one color of d, its partner's; this is the
+paper's one forbidden color per path.  Each color of a count is one bit
+of an int, so at each node the counter ORs these banned colors into one
+mask and takes them off d's palette in one operation, however many
+squares end at d.  The last two elements are counted in closed form at
+the node of the second-to-last one, pen, without trying a color of
+either.  A square ending at the last element either misses pen and, if
+its pairs agree, bans a fixed color; or has pen as the partner and bans
+pen's color c; or pairs pen with an earlier b and bans its partner's
+color e exactly when c is b's color.  So the node counts pen's allowed
+colors times the last list less the fixed bans, less each allowed c that
+the second kind bans there, less each distinct (c, e) of the third kind
+that bans one more.
 
 The counter does not visit every coloring.  Whether a coloring is
 square-free depends only on which elements share a color.  So at depth
@@ -25,13 +27,15 @@ d, two colors that no earlier element uses and that belong to exactly
 the same lists among the elements d, d+1, ... are interchangeable:
 swapping them maps the valid completions of one choice onto those of
 the other.  The counter groups each palette by that membership once per
-depth, descends into one unused color per group and multiplies the
-subtree count by the number of unused colors in the group; colors in
-use are tried one by one unless banned.  A banned color is the color of
-an earlier element, so an unused color is never banned and every unused
-color of a group has the same subtree.  Each coloring lies in exactly
-one subtree and is counted once, by an integer weight, so the count
-stays exact.  Uniform lists give one group per depth.
+count: colors held by exactly the same lists get consecutive bits, so a
+group is a mask.  It descends into one unused color per group and
+multiplies the subtree count by the number of unused colors in the
+group; colors in use are tried one by one unless banned.  A banned
+color is the color of an earlier element, so an unused color is never
+banned and every unused color of a group has the same subtree.  Each
+coloring lies in exactly one subtree and is counted once, by an integer
+weight, so the count stays exact.  Uniform lists give one group per
+depth.
 
 The enumerator shares no table with the counter, for cross-validation
 on small instances: it is the search-cut route, which colors one element
@@ -41,6 +45,7 @@ search finds a square in it.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -186,19 +191,31 @@ def _compile(
     lists: ListAssignment,
     regime: Regime,
     order: Sequence[ElementId] | None,
-) -> tuple[list[tuple[int, ...]], list[tuple]]:
-    """The palettes and the squares of a count, by depth in the counting order.
+) -> tuple[list[frozenset[int]], tuple]:
+    """The palettes of a count, by depth in the counting order, and the
+    graph's square table for the regime and the order.
 
-    ``squares[d]`` holds the candidate squares whose last element is d, each
-    as (p, pairs): p is the position of d's echo partner and pairs are the
-    square's other index pairs, all before d; a half-1 square is (p, ()).
+    The table depends on the graph, the regime and the order, not on the
+    lists, so it is kept with the graph (``GeneralizedGraph._tables``),
+    keyed by regime and order, and a count of the same graph on other lists
+    only reads it.  It is (elems, partners, checked, echoes, keyed):
+    ``partners[d]`` holds the echo partner of each half-1 square ending at
+    d, which always bans; ``checked[d]`` each other square ending at d as
+    (p, pairs), p the position of d's echo partner and pairs the square's
+    other index pairs, all before d, later first.  At the last element the
+    squares through the second-to-last one, pen, are kept apart:
+    ``echoes`` holds the pairs of each square whose partner is pen, and
+    ``keyed`` each square pairing pen with an earlier b as (p, b, pairs).
     """
-    relevant = relevant_elements(g, regime)
-    if order is None:
-        elems = relevant
+    key = (regime, order if order is None else tuple(order))
+    table = g._tables.get(key)
+    if table is not None:
+        elems = table[0]
+    elif order is None:
+        elems = tuple(relevant_elements(g, regime))
     else:
-        elems = list(order)
-        if len(elems) != len(set(elems)) or set(elems) != set(relevant):
+        elems = key[1]
+        if len(elems) != len(set(elems)) or set(elems) != set(relevant_elements(g, regime)):
             raise ValueError("order must list each relevant element exactly once")
     depth_limit = sys.getrecursionlimit() - _CALLER_FRAMES
     if len(elems) > depth_limit:
@@ -206,10 +223,18 @@ def _compile(
             f"{len(elems)} elements to color exceed the counter's depth limit of "
             f"{depth_limit} (the recursion limit less {_CALLER_FRAMES} frames)"
         )
+    if table is None:
+        table = g._tables[key] = _square_table(g, regime, elems)
+    return [lists.colors(x) for x in elems], table
+
+
+def _square_table(g: GeneralizedGraph, regime: Regime, elems: tuple[ElementId, ...]) -> tuple:
+    """Walk the regime's paths of even length once and file each candidate
+    square under its last element in ``elems``, split by shape (see
+    ``_compile``)."""
     depth: list[int] = [0] * len(g._order)  # by board index
     for d, x in enumerate(elems):
         depth[g._index[x]] = d
-    palettes = [tuple(sorted(lists.colors(x))) for x in elems]
     squares: list[dict[tuple, None]] = [dict() for _ in elems]
     for kind in regime.path_kinds:
         domain = g.domain(kind)
@@ -229,102 +254,148 @@ def _compile(
             if not found:
                 # a path of L + 2 elements holds one of L, so none is longer
                 break
-    return palettes, [tuple(s) for s in squares]
+    pen, last = len(elems) - 2, len(elems) - 1
+    partners: list[list[int]] = [[] for _ in elems]
+    checked: list[list[tuple]] = [[] for _ in elems]
+    echoes, keyed = [], []
+    for d, found in enumerate(squares):
+        for p, pairs in found:
+            # pen lies in at most one pair of a square ending at the last
+            # element, the first, as pairs run later first
+            if d == last and p == pen:
+                echoes.append(pairs)
+            elif d == last and pairs and pairs[0][0] == pen:
+                keyed.append((p, pairs[0][1], pairs[1:]))
+            elif pairs:
+                checked[d].append((p, pairs))
+            else:
+                partners[d].append(p)
+    return (
+        elems, [tuple(s) for s in partners], [tuple(s) for s in checked],
+        tuple(echoes), tuple(keyed),
+    )
 
 
-def _count_symmetric(palettes: list[tuple[int, ...]], squares: list[tuple]) -> int:
+def _count_symmetric(palettes: list[frozenset[int]], table: tuple) -> int:
     m = len(palettes)
     if m < 2:
         return len(palettes[0]) if m else 1
-    # remap colors to 0..K-1 so that "used" is a flat list
-    index = {c: i for i, c in enumerate(set().union(*palettes))}
+    _, partners, checked, echoes, keyed = table
     pen, last = m - 2, m - 1
-    # classes[d]: palette d grouped by the positions d..m-1 whose palettes
-    # hold each color, collected from the last position backwards; the
-    # last two positions are counted in closed form and need no classes
-    held: list[tuple[int, ...]] = [()] * len(index)
-    for d in (last, pen):
-        for c in palettes[d]:
-            held[index[c]] += (d,)
-    classes: list[list[list[int]]] = [[] for _ in range(pen)]
-    for d in range(pen - 1, -1, -1):
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for c in palettes[d]:
-            i = index[c]
-            held[i] += (d,)
-            groups.setdefault(held[i], []).append(i)
-        classes[d] = list(groups.values())
-    colors = [0] * m
-    used = [False] * len(index)
-    pen_list = {index[c] for c in palettes[pen]}
-    last_list = {index[c] for c in palettes[last]}
-    # the squares ending at the last element as (p, b, pairs): pen is p, or
-    # is paired with b (it lies in at most one pair, the first, as pairs run
-    # later first), or b is -1 and the square misses pen
-    tail = [
-        (p, pairs[0][1], pairs[1:]) if pairs and pairs[0][0] == pen else (p, -1, pairs)
-        for p, pairs in squares[last]
-    ]
+    # held[c]: the depths whose palettes hold c, as a mask.  Colors held at
+    # the same depths are interchangeable everywhere, so each such class
+    # gets a block of consecutive bits, one per color, and the count never
+    # reads a color's value again.
+    held: dict[int, int] = {}
+    for d, palette in enumerate(palettes):
+        at = 1 << d
+        for c in palette:
+            held[c] = held.get(c, 0) | at
+    # classes[d]: palette d as masks of colors held at the same depths
+    # d..m-1; the last two depths are counted in closed form and need none
+    groups: list[dict[int, int]] = [{} for _ in range(pen)]
+    pen_mask = last_mask = start = 0
+    for depths, n in Counter(held.values()).items():
+        block = ((1 << n) - 1) << start
+        start += n
+        if depths >> pen & 1:
+            pen_mask |= block
+        if depths >> last:
+            last_mask |= block
+        rest = depths & ((1 << pen) - 1)
+        while rest:
+            d = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            suffix = depths >> d
+            groups[d][suffix] = groups[d].get(suffix, 0) | block
+    classes = [tuple(s.values()) for s in groups]
+    spans = [sum(cs) for cs in classes]  # palette d as one mask
+    last_partners, last_checked = partners[last], checked[last]
+    # pen and the last element are linked: pen's color is always banned last
+    linked = () in echoes
+    colors = [0] * m  # colors[d]: the bit of the color at depth d
+    unused = (1 << start) - 1
 
     def rec(d: int) -> int:
+        nonlocal unused
         # the colors that complete a square ending at d: a square whose
         # other pairs all agree forbids one color, its echo partner's
-        banned = set()
-        for p, pairs in squares[d]:
+        banned = 0
+        for p in partners[d]:
+            banned |= colors[p]
+        for p, pairs in checked[d]:
             for a, b in pairs:
                 if colors[a] != colors[b]:
                     break
             else:
-                banned.add(colors[p])
+                banned |= colors[p]
         if d == pen:
-            allowed = pen_list - banned
+            allowed = pen_mask & ~banned
             if not allowed:
                 return 0
             # pen's color c and the last color in closed form: the last
             # element loses the fixed bans, c if pen is an agreeing square's
             # partner, and colors[p] if c is colors[b] and the rest agree
-            fixed, keyed, echo = set(), set(), False
-            for p, b, pairs in tail:
-                for a, a2 in pairs:
-                    if colors[a] != colors[a2]:
+            fixed = 0
+            for p in last_partners:
+                fixed |= colors[p]
+            for p, pairs in last_checked:
+                for a, b in pairs:
+                    if colors[a] != colors[b]:
                         break
                 else:
-                    if p == pen:
-                        echo = True
-                    elif b < 0:
-                        fixed.add(colors[p])
+                    fixed |= colors[p]
+            echo = linked
+            if not echo:
+                for pairs in echoes:
+                    for a, b in pairs:
+                        if colors[a] != colors[b]:
+                            break
                     else:
-                        keyed.add((colors[b], colors[p]))
+                        echo = True
+                        break
             # an unused color of pen is no partner's and no b's, so counting
             # pen's allowed colors one by one matches the classes' weights
-            free = last_list - fixed
-            total = len(allowed) * len(free) - echo * len(allowed & free)
-            for c, e in keyed:
-                if c in allowed and e in free and not (echo and e == c):
-                    total -= 1
-            return total
+            free = last_mask & ~fixed
+            total = allowed.bit_count() * free.bit_count()
+            if echo:
+                total -= (allowed & free).bit_count()
+            # each distinct (c, colors[p]) that c bans at the last element
+            # and that the count above has not yet taken off
+            bans = set()
+            for p, b, pairs in keyed:
+                c = colors[b]
+                if c & allowed:
+                    e = colors[p]
+                    if e & free and not (echo and e == c):
+                        for a, a2 in pairs:
+                            if colors[a] != colors[a2]:
+                                break
+                        else:
+                            bans.add((c, e))
+            return total - len(bans)
+        # the colors in use are tried one by one unless banned; a banned
+        # color is some partner's, so in use
         total = 0
+        tried = spans[d] & ~(unused | banned)
+        while tried:
+            c = tried & -tried
+            tried ^= c
+            colors[d] = c
+            total += rec(d + 1)
         for cls in classes[d]:
-            fresh = 0
-            for c in cls:
-                if not used[c]:
-                    if not fresh:
-                        rep = c
-                    fresh += 1
-                elif c not in banned:
-                    colors[d] = c
-                    total += rec(d + 1)
+            fresh = cls & unused
             if fresh:
-                # every unused color of the class has the same subtree, and
-                # a banned color is some partner's, so in use
-                colors[d] = rep
-                used[rep] = True
-                total += fresh * rec(d + 1)
-                used[rep] = False
+                # every unused color of the class has the same subtree
+                c = fresh & -fresh
+                colors[d] = c
+                unused ^= c
+                total += fresh.bit_count() * rec(d + 1)
+                unused ^= c
         return total
 
-    # rec reaches itself through its closure; dropping it frees the tables
-    # now instead of at the collector's next run
+    # rec reaches itself through its closure; dropping it frees the count's
+    # masks now instead of at the collector's next run
     try:
         return rec(0)
     finally:

@@ -132,6 +132,13 @@ class GeneralizedGraph:
         """Per regime, what ``repetition.find_squares_through`` keeps of this graph."""
         return {}
 
+    @cached_property
+    def _tables(self) -> dict:
+        """Per (regime, order), the square table that ``counting._compile`` walks
+        for this graph; a count on any lists reads it, and a deleted graph has
+        its own."""
+        return {}
+
     def _board(self, kind: PathKind) -> tuple[tuple[int, ...], ...]:
         """Per board index, the sorted indices of the elements that can follow it in
         a path of ``kind``: the graph's one neighbour table, read by every path search."""

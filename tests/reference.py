@@ -25,6 +25,126 @@ def count_colorings_bruteforce(
     return total
 
 
+def squares_by_depth(table) -> list[tuple]:
+    """The squares of ``counting._compile``'s table, each filed under its
+    last element as (p, pairs): p the position of that element's echo
+    partner, pairs the square's other index pairs, later first."""
+    _, partners, checked, echoes, keyed = table
+    pen = len(partners) - 2
+    squares = [
+        tuple((p, ()) for p in ps) + cs for ps, cs in zip(partners, checked)
+    ]
+    if squares:
+        squares[-1] += tuple((pen, pairs) for pairs in echoes) + tuple(
+            (p, ((pen, b),) + pairs) for p, b, pairs in keyed
+        )
+    return squares
+
+
+def count_with_sets(palettes, table) -> int:
+    """The counter's kernel before colors became bits: the same search over
+    the same compiled table, with banned colors and the last element's
+    closed form kept in sets.  Only the table's layout is read differently,
+    so a disagreement with ``counting._count_symmetric`` is the kernel's."""
+    squares = squares_by_depth(table)
+    m = len(palettes)
+    if m < 2:
+        return len(palettes[0]) if m else 1
+    # remap colors to 0..K-1 so that "used" is a flat list
+    index = {c: i for i, c in enumerate(set().union(*palettes))}
+    pen, last = m - 2, m - 1
+    # classes[d]: palette d grouped by the positions d..m-1 whose palettes
+    # hold each color, collected from the last position backwards; the
+    # last two positions are counted in closed form and need no classes
+    held: list[tuple[int, ...]] = [()] * len(index)
+    for d in (last, pen):
+        for c in palettes[d]:
+            held[index[c]] += (d,)
+    classes: list[list[list[int]]] = [[] for _ in range(pen)]
+    for d in range(pen - 1, -1, -1):
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for c in palettes[d]:
+            i = index[c]
+            held[i] += (d,)
+            groups.setdefault(held[i], []).append(i)
+        classes[d] = list(groups.values())
+    colors = [0] * m
+    used = [False] * len(index)
+    pen_list = {index[c] for c in palettes[pen]}
+    last_list = {index[c] for c in palettes[last]}
+    # the squares ending at the last element as (p, b, pairs): pen is p, or
+    # is paired with b (it lies in at most one pair, the first, as pairs run
+    # later first), or b is -1 and the square misses pen
+    tail = [
+        (p, pairs[0][1], pairs[1:]) if pairs and pairs[0][0] == pen else (p, -1, pairs)
+        for p, pairs in squares[last]
+    ]
+
+    def rec(d: int) -> int:
+        # the colors that complete a square ending at d: a square whose
+        # other pairs all agree forbids one color, its echo partner's
+        banned = set()
+        for p, pairs in squares[d]:
+            for a, b in pairs:
+                if colors[a] != colors[b]:
+                    break
+            else:
+                banned.add(colors[p])
+        if d == pen:
+            allowed = pen_list - banned
+            if not allowed:
+                return 0
+            # pen's color c and the last color in closed form: the last
+            # element loses the fixed bans, c if pen is an agreeing square's
+            # partner, and colors[p] if c is colors[b] and the rest agree
+            fixed, keyed, echo = set(), set(), False
+            for p, b, pairs in tail:
+                for a, a2 in pairs:
+                    if colors[a] != colors[a2]:
+                        break
+                else:
+                    if p == pen:
+                        echo = True
+                    elif b < 0:
+                        fixed.add(colors[p])
+                    else:
+                        keyed.add((colors[b], colors[p]))
+            # an unused color of pen is no partner's and no b's, so counting
+            # pen's allowed colors one by one matches the classes' weights
+            free = last_list - fixed
+            total = len(allowed) * len(free) - echo * len(allowed & free)
+            for c, e in keyed:
+                if c in allowed and e in free and not (echo and e == c):
+                    total -= 1
+            return total
+        total = 0
+        for cls in classes[d]:
+            fresh = 0
+            for c in cls:
+                if not used[c]:
+                    if not fresh:
+                        rep = c
+                    fresh += 1
+                elif c not in banned:
+                    colors[d] = c
+                    total += rec(d + 1)
+            if fresh:
+                # every unused color of the class has the same subtree, and
+                # a banned color is some partner's, so in use
+                colors[d] = rep
+                used[rep] = True
+                total += fresh * rec(d + 1)
+                used[rep] = False
+        return total
+
+    # rec reaches itself through its closure; dropping it frees the tables
+    # now instead of at the collector's next run
+    try:
+        return rec(0)
+    finally:
+        del rec
+
+
 @functools.lru_cache(maxsize=4096)  # path_is_valid asks once per step of every path
 def neighbors_from_ends(
     g: GeneralizedGraph, x: ElementId, kind: PathKind

@@ -37,7 +37,7 @@ from thuecolor.graphs import (
 from thuecolor.growth import check_growth, claim_family
 from thuecolor.repetition import Regime, is_valid, relevant_elements
 
-from reference import count_colorings_bruteforce
+from reference import count_colorings_bruteforce, count_with_sets
 
 
 def _rand_graph(rnd, n_max=5):
@@ -265,8 +265,51 @@ def test_compile_stops_at_the_first_length_without_a_path(monkeypatch):
     assert count_colorings(g, one, Regime.VERTEX) == 1
     assert lengths == [2]
     lengths.clear()
+    # g's table is kept with g, so only g minus v199 is walked
     assert count_violations(g, one, Regime.VERTEX, vertex(199)) == 0
-    assert lengths == [2, 2]
+    assert lengths == [2]
+
+
+def test_the_square_table_is_kept_with_the_graph(monkeypatch):
+    # the table depends on the graph, the regime and the order, not on the
+    # lists: each new key walks once, and a deleted graph walks its own
+    walked = []
+    real_table = thuecolor.counting._square_table
+
+    def recorded(g, regime, elems):
+        walked.append((g, regime, tuple(elems)))
+        return real_table(g, regime, elems)
+
+    monkeypatch.setattr(thuecolor.counting, "_square_table", recorded)
+    rnd = random.Random(4513)
+    g = path_graph(4)
+    first, second = (_shared_lists(rnd, g, list(range(4))) for _ in range(2))
+    backwards = relevant_elements(g, Regime.VERTEX)[::-1]
+
+    def count(graph, lists, regime, order=None):
+        got = count_colorings(graph, lists, regime, order=order)
+        assert got == sum(1 for _ in enumerate_colorings(graph, lists, regime))
+
+    count(g, first, Regime.VERTEX)
+    count(g, second, Regime.VERTEX)
+    assert walked == [(g, Regime.VERTEX, tuple(relevant_elements(g, Regime.VERTEX)))]
+    count(g, first, Regime.VERTEX, order=backwards)
+    count(g, second, Regime.VERTEX, order=list(backwards))
+    count(g, first, Regime.WEAK_TOTAL)
+    count(g, second, Regime.WEAK_TOTAL)
+    assert walked[1:] == [
+        (g, Regime.VERTEX, tuple(backwards)),
+        (g, Regime.WEAK_TOTAL, tuple(relevant_elements(g, Regime.WEAK_TOTAL))),
+    ]
+    for x in (vertex(3), vertex(1), edge(1)):
+        h = delete(g, {x})
+        walked.clear()
+        count(h, first, Regime.WEAK_TOTAL)
+        count(h, second, Regime.WEAK_TOTAL)
+        assert walked == [(h, Regime.WEAK_TOTAL, tuple(relevant_elements(h, Regime.WEAK_TOTAL)))]
+    walked.clear()
+    count(g, second, Regime.WEAK_TOTAL)
+    assert walked == []
 
 
 def test_empty_graph_and_empty_lists():
@@ -611,3 +654,66 @@ def test_random_list_batch_matches_square_free_words():
             for k in range(1, 9)
         ]
         assert counts == _square_free_word_counts(chosen)
+
+
+def _kernels_agree(g, lists, regime, order=None):
+    """Both kernels on one compiled table; the count."""
+    palettes, table = thuecolor.counting._compile(g, lists, regime, order)
+    got = thuecolor.counting._count_symmetric(palettes, table)
+    assert got == count_with_sets(palettes, table)
+    return got
+
+
+def test_bit_kernel_matches_the_set_kernel_on_the_batch_shape():
+    # growth-sweep's batch: 100 seeded 4-of-8 assignments on P1..P8
+    rnd = random.Random("lists:0")
+    paths = [path_graph(k) for k in range(1, 9)]
+    for _ in range(100):
+        chosen = [rnd.sample(range(8), 4) for _ in range(8)]
+        for k, g in enumerate(paths, start=1):
+            lists = ListAssignment.from_map({vertex(i): chosen[i] for i in range(k)})
+            _kernels_agree(g, lists, Regime.VERTEX)
+
+
+def test_bit_kernel_matches_the_set_kernel_with_deletions():
+    # 300 small graphs, each less a random set of elements, in every regime
+    # and in a shuffled order, with colors far from 0..k-1
+    rnd = random.Random(4527)
+    pools = [list(range(4)), [-5, 7, 10**12], [-(10**15), -1, 0, 3, 10**12 + 1]]
+    for _ in range(300):
+        g = _rand_graph(rnd, n_max=4)
+        g = delete(g, rnd.sample(sorted(g.elements), rnd.randint(0, 3)))
+        pool = rnd.choice(pools)
+        for regime in Regime:
+            lists = _shared_lists(rnd, g, pool)
+            order = relevant_elements(g, regime)
+            rnd.shuffle(order)
+            assert _kernels_agree(g, lists, regime) == _kernels_agree(g, lists, regime, order)
+
+
+def test_bit_kernel_matches_the_set_kernel_on_wide_and_odd_palettes():
+    rnd = random.Random(4533)
+    # more than 64 distinct colors, spread unevenly over the lists
+    g = cycle_graph(6)
+    for _ in range(5):
+        lists = ListAssignment.from_map({x: rnd.sample(range(100), 20) for x in g.vertices})
+        assert len(set().union(*lists.lists.values())) > 64
+        _kernels_agree(g, lists, Regime.VERTEX)
+    # negative colors and colors of 10^12 or more
+    big = [-(2**70), -3, -1, 10**12, 10**12 + 7, 2**64]
+    for regime in Regime:
+        lists = ListAssignment.from_map({x: rnd.sample(big, 4) for x in g.elements})
+        _kernels_agree(g, lists, regime)
+    # an empty list, at every depth
+    g = path_graph(5)
+    for empty in range(5):
+        lists = ListAssignment.from_map(
+            {vertex(i): [] if i == empty else [1, 2, 3] for i in range(5)}
+        )
+        assert _kernels_agree(g, lists, Regime.VERTEX) == 0
+    # a 200-color uniform list: one class per depth; on P4 the words with
+    # no equal neighbours less the squares abab
+    g = path_graph(4)
+    assert _kernels_agree(g, ListAssignment.uniform(g, 200), Regime.VERTEX) == 200 * 199**3 - 200 * 199
+    g = cycle_graph(5)
+    _kernels_agree(g, ListAssignment.uniform(g, 200), Regime.VERTEX)
