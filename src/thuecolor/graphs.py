@@ -23,7 +23,8 @@ order, the sorted places of the elements that can follow it.  Every
 path search reads it: ``_walk_board`` (the paths of a kind and length,
 or those through one element, as board indices), ``count_paths_containing``
 (the paths of an even length through every element, counted without
-building them), the counter's compiler and the square search of
+building them, with the completions of each first half counted once per
+element set and end), the counter's compiler and the square search of
 ``repetition``.
 """
 from __future__ import annotations
@@ -326,10 +327,14 @@ def count_paths_containing(
     L-1-p: exactly one of the two holds a given element at a position
     p < L/2.  Hence the paths through x number the directed sequences that
     hold x in their first half, and only those positions are credited.
-    For L >= 4 none of them lies in the last two, so those two levels are
-    counted in closed form from each element's number of neighbours
-    outside the prefix: no prefix longer than L - 3 is visited.  Elements
-    on no path get no entry.
+    The search stops at prefixes of L - 4 elements: each element that can
+    follow one is counted with its last three levels in closed form, from
+    the number of neighbours outside the prefix and the linked pairs of
+    neighbours, so no prefix longer than L - 4 is visited (length 4 is
+    closed form outright).  Below its first half a prefix's completions
+    depend only on the half's element set and last element, so each such
+    pair is counted once per call and read back for every other order of
+    the same set.  Elements on no path get no entry.
     """
     n_domain = len(g.domain(kind))
     out: dict[int, Counter] = {}
@@ -348,56 +353,122 @@ def _directed_credits(nbrs: tuple[tuple[int, ...], ...], length: int) -> list[in
     """Per element index: the directed paths of ``length`` elements, an even
     number, that hold it at a position p < length/2.
 
-    Length 2 is the degree.  Beyond it the depth-first search pushes
-    prefixes of at most ``length - 3`` elements and keeps ``free[z]``, the
-    number of neighbours of z outside the prefix.  An unused neighbour y
-    of the end of a prefix that long takes position ``length - 3``, and
-    each unused neighbour z of y completes it ``free[z] - 1`` ways: y is a
-    neighbour of z outside the prefix but cannot follow z.  Positions
-    ``length - 2`` and ``length - 1`` carry no weight, so they are never
-    visited.
+    Length 2 is the degree.  Beyond it, for a prefix with elements U and
+    ``free[z]`` the number of neighbours of z outside U, an unused
+    neighbour y of the prefix's end has ``two(y)``, the sum of
+    ``free[z] - 1`` over unused neighbours z of y, completions by two
+    elements (y is a neighbour of z outside U but cannot follow z).  An
+    unused neighbour w of the end has
+
+        c(w) = sum of two(y) over unused neighbours y of w
+               - free[w] * (free[w] - 1)
+               - 2 * (linked pairs of unused neighbours of w)
+
+    completions by three: ``two`` counts from U without w, so it also lets
+    z be w, worth ``free[w] - 1`` for each of the ``free[w]`` choices of y,
+    and it gives a z linked to w one last element too many, once for each
+    order of a linked pair y, z.  So the depth-first search pushes
+    prefixes of at most ``length - 4`` elements; every unused neighbour w
+    of the end of one that long takes position ``length - 4`` and is
+    counted by c(w), with ``two`` kept for that prefix.  Length 4 is closed
+    form outright: x first has c(x) completions with nothing used, and x
+    second, after any of its neighbours s, has ``two(x) - (deg(s) - 1)``
+    less its common neighbours with s, which sums to
+    ``(deg(x) - 1) * two(x) - 2 * (linked pairs of neighbours of x)``.
+
+    No position from ``length/2`` on carries weight, so below a first half
+    the search only sums its completions: the directed paths of the other
+    ``length/2`` elements that avoid the half and start at a free
+    neighbour of its end.  They depend on the half's element set and end
+    alone, so ``memo[end]`` keeps them by the set of the half's other
+    elements, a bit mask of board indices, and every later order of the
+    same set and end reads them there instead of walking its tails again
+    (the split of Björklund, Husfeldt, Kaski and Koivisto, "Counting paths
+    and packings in halves", ESA 2009).  The memo lives for one call.
     """
     deg = [len(nb) for nb in nbrs]
     if length == 2:
         return deg
+    # per element, the linked pairs among its neighbours
+    rows = [set(nb) for nb in nbrs]
+    pairs = [[(y, z) for i, y in enumerate(nb) for z in nb[i + 1:] if z in rows[y]] for nb in nbrs]
+    if length == 4:
+        twos = [sum(deg[z] for z in nb) - len(nb) for nb in nbrs]
+        # x first, as c(x) with nothing used, and x second, after any neighbour
+        return [
+            sum(twos[y] for y in nb) - d * (d - 1) + (d - 1) * twos[x] - 4 * len(p)
+            for x, (nb, d, p) in enumerate(zip(nbrs, deg, pairs))
+        ]
     half = length // 2
     weight = [1] * half + [0] * half
-    closed = length - 3  # prefixes this long count their last two levels
+    closed = length - 4  # no prefix longer is pushed: c(w) counts the rest
+    top = half - 1  # a first half ends at this position
     credit = [0] * len(nbrs)
     used = [False] * len(nbrs)
     free = deg[:]
+    memo: list[dict[int, int]] = [{} for _ in nbrs]
+    two_of: dict[int, int] = {}
     for s, nb in enumerate(nbrs):
         used[s] = True
+        mask = 1 << s  # the prefix's elements before position top
         for z in nb:
             free[z] -= 1
         path, stack, completions = [s], [iter(nb)], [0]
         while stack:
-            for y in stack[-1]:
-                if used[y]:
+            t = len(path)  # the position an unused neighbour would take
+            for w in stack[-1]:
+                if used[w]:
                     continue
-                if len(path) == closed:
-                    c = 0
-                    for z in nbrs[y]:
-                        if not used[z]:
-                            c += free[z] - 1
-                    credit[y] += weight[closed] * c
+                if t == closed:
+                    fw = free[w]
+                    c = -fw * (fw - 1)
+                    for y, z in pairs[w]:
+                        if not (used[y] or used[z]):
+                            c -= 2
+                    for y in nbrs[w]:
+                        if used[y]:
+                            continue
+                        two = two_of.get(y)
+                        if two is None:
+                            two = 0
+                            for z in nbrs[y]:
+                                if not used[z]:
+                                    two += free[z] - 1
+                            two_of[y] = two
+                        c += two
+                    credit[w] += weight[closed] * c
                     completions[-1] += c
                     continue
-                used[y] = True
-                for z in nbrs[y]:
+                if t < top:
+                    mask |= 1 << w
+                elif t == top:
+                    c = memo[w].get(mask)
+                    if c is not None:
+                        credit[w] += c
+                        completions[-1] += c
+                        continue
+                used[w] = True
+                for z in nbrs[w]:
                     free[z] -= 1
-                path.append(y)
-                stack.append(iter(nbrs[y]))
+                path.append(w)
+                stack.append(iter(nbrs[w]))
                 completions.append(0)
+                if t + 1 == closed:
+                    two_of = {}
                 break
             else:
                 x = path.pop()
+                t -= 1
                 used[x] = False
                 for z in nbrs[x]:
                     free[z] += 1
                 stack.pop()
                 c = completions.pop()
-                credit[x] += weight[len(path)] * c
+                if t == top:
+                    memo[x][mask] = c
+                elif 0 < t < top:
+                    mask ^= 1 << x
+                credit[x] += weight[t] * c
                 if completions:
                     completions[-1] += c
     return credit

@@ -36,12 +36,20 @@ def find_square(seq: Sequence) -> tuple[int, int] | None:
     Returns (start, half_length) or None when the sequence is
     square-free.  Elements only need equality comparison, so strings,
     byte strings, and integer sequences all work.
+
+    Per half h, one scan counts the run of positions i that agree with
+    i + h; the first run to reach h ends the leftmost square of that half.
     """
     n = len(seq)
     for half in range(1, n // 2 + 1):
-        for start in range(0, n - 2 * half + 1):
-            if all(seq[start + k] == seq[start + half + k] for k in range(half)):
-                return (start, half)
+        run = 0
+        for i in range(n - half):
+            if seq[i] == seq[i + half]:
+                run += 1
+                if run == half:
+                    return (i - half + 1, half)
+            else:
+                run = 0
     return None
 
 

@@ -249,6 +249,57 @@ def paths_of_g(
     return found
 
 
+def directed_credits_by_search(nbrs, length: int) -> list[int]:
+    """``graphs._directed_credits`` before its memo and its third closed
+    level: per board index, the directed paths of ``length`` elements (even,
+    at least 4) that hold it at a position p < length/2.
+
+    A depth-first search over prefixes of at most ``length - 3`` elements
+    counts each one's completions, an unused neighbour y of the end taking
+    position ``length - 3`` with ``free[z] - 1`` completions per unused
+    neighbour z of y, and credits them to the prefix's end while it lies in
+    the first half.  Every order of a first half walks its own tails, so it
+    reaches counts that the walker cannot enumerate in test time.
+    """
+    half = length // 2
+    closed = length - 3
+    credit = [0] * len(nbrs)
+    used = [False] * len(nbrs)
+    free = [len(nb) for nb in nbrs]
+    for s, nb in enumerate(nbrs):
+        used[s] = True
+        for z in nb:
+            free[z] -= 1
+        path, stack, completions = [s], [iter(nb)], [0]
+        while stack:
+            for y in stack[-1]:
+                if used[y]:
+                    continue
+                if len(path) == closed:
+                    c = sum(free[z] - 1 for z in nbrs[y] if not used[z])
+                    credit[y] += c if closed < half else 0
+                    completions[-1] += c
+                    continue
+                used[y] = True
+                for z in nbrs[y]:
+                    free[z] -= 1
+                path.append(y)
+                stack.append(iter(nbrs[y]))
+                completions.append(0)
+                break
+            else:
+                x = path.pop()
+                used[x] = False
+                for z in nbrs[x]:
+                    free[z] += 1
+                stack.pop()
+                c = completions.pop()
+                credit[x] += c if len(path) < half else 0
+                if completions:
+                    completions[-1] += c
+    return credit
+
+
 def root_cubic(tol: float = 1e-12) -> float:
     """The unique real root above 1 of 4x^3 - 20x^2 - 4x - 3.
 

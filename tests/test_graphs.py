@@ -1,6 +1,7 @@
 """Generalized graphs: construction, deletion, path enumeration, bounds."""
 import hashlib
 import json
+import math
 import random
 from collections import Counter
 
@@ -30,7 +31,12 @@ from thuecolor.graphs import (
 )
 from thuecolor.repetition import Regime, find_violating_path
 
-from reference import neighbors_from_ends, path_is_valid, paths_of_g
+from reference import (
+    directed_credits_by_search,
+    neighbors_from_ends,
+    path_is_valid,
+    paths_of_g,
+)
 
 
 def _rand_graph(rnd, n_max=7, extra=0.5):
@@ -409,6 +415,63 @@ def test_count_paths_containing_closed_levels(g, length, expected):
     tally = count_paths_containing(g, PathKind.VERTEX, [length])[length]
     assert tally == Counter({vertex(i): c for i, c in enumerate(expected)})
     assert tally == _walk_tally(g, PathKind.VERTEX, length)
+
+
+# a spider: legs of 5, 5 and 4 edges from v0
+SPIDER = from_standard(15, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 6), (6, 7), (7, 8),
+                            (8, 9), (9, 10), (0, 11), (11, 12), (12, 13), (13, 14)])
+LONG_TALLY_GRAPHS = {
+    # many orders of one element set share an end: the first-half memo is read
+    "K5": complete_graph(5),
+    "K6": complete_graph(6),
+    "petersen": petersen_graph(),
+    # an order is fixed by its set and end: every first half is counted once
+    "P12": path_graph(12),
+    "spider": SPIDER,
+}
+
+
+@pytest.mark.parametrize("kind", list(PathKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("name", list(LONG_TALLY_GRAPHS))
+def test_count_paths_containing_at_long_lengths(name, kind):
+    """The tally against the walker at lengths 8, 10 and 12, whose first
+    halves end above the closed levels.  K6's edge paths number millions
+    from length 8 on, so length 8 alone is checked, against the memo-free
+    search."""
+    g = LONG_TALLY_GRAPHS[name]
+    if name == "K6" and kind is PathKind.EDGE:
+        assert count_paths_containing(g, kind, [8])[8] == _search_tally(g, kind, 8)
+        return
+    tally = count_paths_containing(g, kind, (8, 10, 12))
+    for length in (8, 10, 12):
+        assert tally[length] == _walk_tally(g, kind, length), length
+
+
+@pytest.mark.parametrize("name", ["random00", "random18"])
+def test_count_paths_containing_on_dense_corpus_graphs(name):
+    """Edge paths of the corpus graphs with the most: length 8 against the
+    walker, length 10 against the memo-free search."""
+    g = dict(builtin_corpus())[name]
+    tally = count_paths_containing(g, PathKind.EDGE, (8, 10))
+    assert tally[8] == _walk_tally(g, PathKind.EDGE, 8)
+    assert tally[10] == _search_tally(g, PathKind.EDGE, 10)
+
+
+def _search_tally(g, kind, length):
+    credit = directed_credits_by_search(g._board(kind), length)
+    return Counter({x: c for x, c in zip(g._order, credit) if c})
+
+
+@pytest.mark.parametrize("n, at_n", [(6, 360), (8, 20_160), (10, 1_814_400)])
+def test_count_paths_containing_on_complete_graphs(n, at_n):
+    """A vertex of K_n lies on L (n-1)! / (2 (n-L)!) paths of L vertices:
+    L places for it, (n-1)!/(n-L)! fillings of the others, each path twice."""
+    g = complete_graph(n)
+    for length in range(2, n + 1, 2):
+        expected = length * math.factorial(n - 1) // (2 * math.factorial(n - length))
+        tally = count_paths_containing(g, PathKind.VERTEX, [length])[length]
+        assert tally == Counter(dict.fromkeys(g.vertices, expected)), length
+    assert expected == at_n
 
 
 # each regime is checked once, under the last of its path kinds
